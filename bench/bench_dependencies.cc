@@ -5,9 +5,10 @@
 //   * work counters (candidates_tested, satisfied) are identical across
 //     backends and thread counts — the determinism the dependency parity
 //     test asserts, made visible to the regression gate;
-//   * the disk backend stays within a small factor of memory: every
-//     candidate test is a distinct-count over sorted composite sets
-//     either way, the backends differ only in how extraction reads;
+//   * the disk backend stays within a small factor of memory: UCC tests
+//     count sorted composite sets and FD tests count in-memory table
+//     partitions either way, the backends differ only in how a column
+//     is read (extraction or one decode per column);
 //   * FD discovery tests more candidates than UCC at the same arity cap
 //     (per-RHS lattices instead of one key lattice).
 

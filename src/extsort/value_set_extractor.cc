@@ -3,8 +3,13 @@
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <limits>
+#include <string_view>
+#include <unordered_map>
 
 #include "src/common/hash.h"
+#include "src/storage/column_stats.h"
 #include "src/storage/composite_cursor.h"
 
 namespace spider {
@@ -265,6 +270,68 @@ Result<std::vector<SortedSetInfo>> ValueSetExtractor::ExtractAll(
   }
   SPIDER_RETURN_NOT_OK(first_error);
   return infos;
+}
+
+Result<ValueIds> ValueSetExtractor::DecodeValueIds(
+    const Catalog& catalog, const AttributeRef& attribute) {
+  SPIDER_ASSIGN_OR_RETURN(const Column* column,
+                          catalog.ResolveAttribute(attribute));
+  if (column->row_count() > std::numeric_limits<int32_t>::max()) {
+    return Status::InvalidArgument("too many rows for dense value ids in " +
+                                   attribute.ToString());
+  }
+  // Heterogeneous lookup: a cursor's string_view probes without a copy.
+  struct ViewHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  std::unordered_map<std::string, int32_t, ViewHash, std::equal_to<>> id_of;
+  // Sealed statistics are exact: when every non-NULL value is distinct,
+  // the ids are the non-NULL rows' ranks and no value needs hashing.
+  const ColumnStats* stats = column->cached_stats();
+  const bool all_distinct =
+      stats != nullptr && stats->distinct_count == stats->non_null_count;
+  if (stats != nullptr && !all_distinct) {
+    id_of.reserve(static_cast<size_t>(stats->distinct_count));
+  }
+  ValueIds out;
+  out.ids.reserve(static_cast<size_t>(column->row_count()));
+  SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<ValueCursor> cursor,
+                          column->OpenCursor());
+  std::string_view value;
+  for (CursorStep step = cursor->Next(&value); step != CursorStep::kEnd;
+       step = cursor->Next(&value)) {
+    if (step == CursorStep::kNull) {
+      out.ids.push_back(-1);
+    } else if (all_distinct) {
+      out.ids.push_back(out.distinct++);
+    } else {
+      auto it = id_of.find(value);
+      if (it == id_of.end()) {
+        it = id_of.emplace(std::string(value), out.distinct++).first;
+      }
+      out.ids.push_back(it->second);
+    }
+  }
+  SPIDER_RETURN_NOT_OK(cursor->status());
+  columns_decoded_.fetch_add(1, std::memory_order_relaxed);
+  return out;
+}
+
+std::optional<int64_t> ValueSetExtractor::FindDistinctCount(
+    const std::vector<AttributeRef>& attributes) const {
+  MutexLock lock(&mutex_);
+  auto it = distinct_counts_.find(attributes);
+  if (it == distinct_counts_.end()) return std::nullopt;
+  return it->second;
+}
+
+void ValueSetExtractor::RememberDistinctCount(
+    std::vector<AttributeRef> attributes, int64_t count) {
+  MutexLock lock(&mutex_);
+  distinct_counts_.emplace(std::move(attributes), count);
 }
 
 Result<SortedSetInfo> ValueSetExtractor::Lookup(

@@ -46,6 +46,16 @@ struct ValueSetExtractorOptions {
   bool persist_profile = false;
 };
 
+/// Dense per-row value ids of one attribute (ValueSetExtractor::
+/// DecodeValueIds).
+struct ValueIds {
+  /// One id per row in storage order: -1 for NULL, otherwise an id in
+  /// [0, distinct), numbered by first appearance. Two rows share an id iff
+  /// their canonical strings are equal.
+  std::vector<int32_t> ids;
+  int32_t distinct = 0;
+};
+
 /// \brief Materializes sorted-distinct value sets for catalog attributes.
 ///
 /// Thread-safe: any number of threads may Extract() concurrently. The cache
@@ -92,6 +102,23 @@ class ValueSetExtractor {
   Result<SortedSetInfo> ExtractComposite(
       const Catalog& catalog, const std::vector<AttributeRef>& attributes);
 
+  /// Decodes an attribute into dense per-row value ids in one cursor pass.
+  /// Uncached and file-free: the caller owns the ids for as long as it
+  /// needs them. Fails with InvalidArgument beyond INT32_MAX rows.
+  [[nodiscard]]
+  Result<ValueIds> DecodeValueIds(const Catalog& catalog,
+                                  const AttributeRef& attribute);
+
+  /// Memo of distinct-tuple counts |π_attributes| (NULL-containing rows
+  /// dropped, as in ExtractComposite), keyed by the ordered attribute list.
+  /// Lives as long as the extractor, so a repeated FD search in one session
+  /// counts nothing twice. Thread-safe.
+  std::optional<int64_t> FindDistinctCount(
+      const std::vector<AttributeRef>& attributes) const
+      SPIDER_EXCLUDES(mutex_);
+  void RememberDistinctCount(std::vector<AttributeRef> attributes,
+                             int64_t count) SPIDER_EXCLUDES(mutex_);
+
   /// Deterministic file-system-safe set-file name for an attribute.
   /// Exposed for tests and tools that want to predict the workspace layout.
   static std::string SetFileName(const AttributeRef& attribute);
@@ -100,6 +127,10 @@ class ValueSetExtractor {
   /// from every unary SetFileName and order-sensitive ((a,b) != (b,a)).
   static std::string CompositeSetFileName(
       const std::vector<AttributeRef>& attributes);
+
+  /// Construction options; FD discovery sizes its partitions against
+  /// sort_memory_budget_bytes.
+  const ValueSetExtractorOptions& options() const { return options_; }
 
   /// The persistent profile, or null unless options.persist_profile.
   ProfileStore* profile() const { return profile_.get(); }
@@ -119,6 +150,10 @@ class ValueSetExtractor {
   }
   int64_t sets_reused() const {
     return sets_reused_.load(std::memory_order_relaxed);
+  }
+  /// Columns decoded by DecodeValueIds since construction.
+  int64_t columns_decoded() const {
+    return columns_decoded_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -175,6 +210,7 @@ class ValueSetExtractor {
   std::unique_ptr<ProfileStore> profile_;
   std::atomic<int64_t> sets_extracted_{0};
   std::atomic<int64_t> sets_reused_{0};
+  std::atomic<int64_t> columns_decoded_{0};
   mutable Mutex mutex_;
   /// Completed or in-flight extractions. shared_future so that concurrent
   /// requesters of the same attribute all wait on one extraction. Only the
@@ -186,6 +222,8 @@ class ValueSetExtractor {
   std::map<std::vector<AttributeRef>,
            std::shared_future<Result<SortedSetInfo>>>
       composite_cache_ SPIDER_GUARDED_BY(mutex_);
+  std::map<std::vector<AttributeRef>, int64_t> distinct_counts_
+      SPIDER_GUARDED_BY(mutex_);
 };
 
 }  // namespace spider

@@ -1,8 +1,11 @@
 #include "src/ind/fd_levelwise.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -21,6 +24,119 @@ struct TableOutcome {
   bool finished = true;
 };
 
+// Upper bound on the id arrays one table's partitions can hold: one per
+// column combination of size <= max_lhs, plus refinement scratch (sort
+// order, bucket ends and two stamp arrays, at most a row each).
+double PartitionBytesBound(int64_t rows, int columns, int max_lhs) {
+  double arrays = 4;
+  double combinations = 1;
+  for (int k = 1; k <= std::min(max_lhs, columns); ++k) {
+    combinations = combinations * (columns - k + 1) / k;
+    arrays += combinations;
+  }
+  return arrays * static_cast<double>(rows) * sizeof(int32_t);
+}
+
+// One table's partitions for distinct-tuple counting: each column decodes
+// once into dense value ids, and |π_{X∪{c}}| comes from refining X's ids
+// with c's (TANE's partition product over unstripped id vectors). Ids are
+// kept for column sets that can be an LHS (size <= max_lhs) because they
+// are the prefixes of the next refinements; an LHS ∪ {A} count keeps
+// nothing. Single-threaded: one instance per table search.
+class TablePartitions {
+ public:
+  TablePartitions(const Catalog& catalog, const Table& table,
+                  ValueSetExtractor& extractor)
+      : catalog_(catalog), table_(table), extractor_(extractor) {}
+
+  // |π_combo| for ascending column indices.
+  Result<int64_t> Distinct(const std::vector<int>& combo) {
+    SPIDER_ASSIGN_OR_RETURN(const ValueIds* ids, IdsOf(combo));
+    return ids->distinct;
+  }
+
+  // |π_{combo ∪ {extra}}|, counted without keeping its ids.
+  Result<int64_t> DistinctWith(const std::vector<int>& combo, int extra) {
+    SPIDER_ASSIGN_OR_RETURN(const ValueIds* base, IdsOf(combo));
+    SPIDER_ASSIGN_OR_RETURN(const ValueIds* column, IdsOf({extra}));
+    return Refine(*base, *column, nullptr);
+  }
+
+ private:
+  Result<const ValueIds*> IdsOf(const std::vector<int>& combo) {
+    auto it = ids_.find(combo);
+    if (it != ids_.end()) return &it->second;
+    ValueIds ids;
+    if (combo.size() == 1) {
+      SPIDER_ASSIGN_OR_RETURN(
+          ids, extractor_.DecodeValueIds(
+                   catalog_, AttributeRef{table_.name(),
+                                          table_.column(combo[0]).name()}));
+    } else {
+      const std::vector<int> prefix(combo.begin(), combo.end() - 1);
+      SPIDER_ASSIGN_OR_RETURN(const ValueIds* base, IdsOf(prefix));
+      SPIDER_ASSIGN_OR_RETURN(const ValueIds* column, IdsOf({combo.back()}));
+      ids.distinct = Refine(*base, *column, &ids.ids);
+    }
+    return &ids_.emplace(combo, std::move(ids)).first->second;
+  }
+
+  // Distinct (base id, column id) pairs over rows where both are non-NULL:
+  // a counting sort of the rows by base id, then one pass per base group
+  // that stamps each column id with the group that saw it last. With
+  // `out`, also writes each row's pair id (-1 for a dropped row).
+  int32_t Refine(const ValueIds& base, const ValueIds& column,
+                 std::vector<int32_t>* out) {
+    const size_t rows = base.ids.size();
+    bucket_ends_.assign(static_cast<size_t>(base.distinct) + 1, 0);
+    for (int32_t id : base.ids) {
+      if (id >= 0) ++bucket_ends_[static_cast<size_t>(id) + 1];
+    }
+    for (size_t g = 1; g < bucket_ends_.size(); ++g) {
+      bucket_ends_[g] += bucket_ends_[g - 1];
+    }
+    // Placing rows advances each bucket's start to its end.
+    order_.resize(rows);
+    for (size_t r = 0; r < rows; ++r) {
+      const int32_t id = base.ids[r];
+      if (id < 0) continue;
+      order_[static_cast<size_t>(bucket_ends_[static_cast<size_t>(id)]++)] =
+          static_cast<int32_t>(r);
+    }
+    stamp_.assign(static_cast<size_t>(column.distinct), -1);
+    pair_id_.resize(static_cast<size_t>(column.distinct));
+    if (out != nullptr) out->assign(rows, -1);
+    int32_t pairs = 0;
+    int32_t begin = 0;
+    for (int32_t g = 0; g < base.distinct; ++g) {
+      const int32_t end = bucket_ends_[static_cast<size_t>(g)];
+      for (int32_t i = begin; i < end; ++i) {
+        const size_t row = static_cast<size_t>(order_[static_cast<size_t>(i)]);
+        const int32_t value = column.ids[row];
+        if (value < 0) continue;
+        const size_t v = static_cast<size_t>(value);
+        if (stamp_[v] != g) {
+          stamp_[v] = g;
+          pair_id_[v] = pairs++;
+        }
+        if (out != nullptr) (*out)[row] = pair_id_[v];
+      }
+      begin = end;
+    }
+    return pairs;
+  }
+
+  const Catalog& catalog_;
+  const Table& table_;
+  ValueSetExtractor& extractor_;
+  std::map<std::vector<int>, ValueIds> ids_;
+  // Refinement scratch, reused across calls.
+  std::vector<int32_t> bucket_ends_;
+  std::vector<int32_t> order_;
+  std::vector<int32_t> stamp_;
+  std::vector<int32_t> pair_id_;
+};
+
 // One table's levelwise search. Serial within the table; the caller
 // parallelizes across tables.
 Result<TableOutcome> FindFdsInTable(const Catalog& catalog,
@@ -35,31 +151,55 @@ Result<TableOutcome> FindFdsInTable(const Catalog& catalog,
   }
   if (eligible.size() < 2) return outcome;
 
-  // Distinct-tuple counts, one cached streaming extraction per column set
-  // (ascending order — distinct counts are order-invariant, and the
-  // canonical order maximizes extractor cache hits across candidates).
-  std::map<std::vector<int>, int64_t> distinct_cache;
-  auto distinct_of = [&](const std::vector<int>& combo) -> Result<int64_t> {
-    auto it = distinct_cache.find(combo);
-    if (it != distinct_cache.end()) return it->second;
-    SortedSetInfo info;
-    if (combo.size() == 1) {
-      SPIDER_ASSIGN_OR_RETURN(
-          info, options.extractor->Extract(
-                    catalog, AttributeRef{table.name(),
-                                          table.column(combo[0]).name()}));
-    } else {
-      std::vector<AttributeRef> attributes;
-      attributes.reserve(combo.size());
-      for (int c : combo) {
-        attributes.push_back(
-            AttributeRef{table.name(), table.column(c).name()});
-      }
-      SPIDER_ASSIGN_OR_RETURN(
-          info, options.extractor->ExtractComposite(catalog, attributes));
+  // Distinct-tuple counts of ascending column sets (distinct counts are
+  // order-invariant), memoized in the extractor across runs. A miss counts
+  // on the table's partitions, built on first use; a table whose
+  // partitions could outgrow the sort budget counts sorted composite sets
+  // instead, which stream in bounded memory.
+  ValueSetExtractor& extractor = *options.extractor;
+  const bool in_memory =
+      table.row_count() <= std::numeric_limits<int32_t>::max() &&
+      PartitionBytesBound(table.row_count(), static_cast<int>(eligible.size()),
+                          options.max_lhs_arity) <=
+          static_cast<double>(extractor.options().sort_memory_budget_bytes);
+  std::unique_ptr<TablePartitions> partitions;
+  // |π_lhs|, or |π_{lhs ∪ {extra}}| when extra >= 0.
+  auto distinct_of = [&](const std::vector<int>& lhs,
+                         int extra) -> Result<int64_t> {
+    std::vector<int> combo = lhs;
+    if (extra >= 0) {
+      combo.insert(std::lower_bound(combo.begin(), combo.end(), extra), extra);
     }
-    distinct_cache.emplace(combo, info.distinct_count);
-    return info.distinct_count;
+    std::vector<AttributeRef> attributes;
+    attributes.reserve(combo.size());
+    for (int c : combo) {
+      attributes.push_back(AttributeRef{table.name(), table.column(c).name()});
+    }
+    if (std::optional<int64_t> memo = extractor.FindDistinctCount(attributes)) {
+      return *memo;
+    }
+    int64_t count = 0;
+    if (in_memory) {
+      if (partitions == nullptr) {
+        partitions =
+            std::make_unique<TablePartitions>(catalog, table, extractor);
+      }
+      SPIDER_ASSIGN_OR_RETURN(count, extra >= 0
+                                         ? partitions->DistinctWith(lhs, extra)
+                                         : partitions->Distinct(lhs));
+    } else {
+      SortedSetInfo info;
+      if (attributes.size() == 1) {
+        SPIDER_ASSIGN_OR_RETURN(info,
+                                extractor.Extract(catalog, attributes[0]));
+      } else {
+        SPIDER_ASSIGN_OR_RETURN(
+            info, extractor.ExtractComposite(catalog, attributes));
+      }
+      count = info.distinct_count;
+    }
+    extractor.RememberDistinctCount(std::move(attributes), count);
+    return count;
   };
 
   for (int a : eligible) {
@@ -79,12 +219,10 @@ Result<TableOutcome> FindFdsInTable(const Catalog& catalog,
           return outcome;
         }
         ++outcome.counters.candidates_tested;
-        SPIDER_ASSIGN_OR_RETURN(const int64_t lhs_distinct, distinct_of(lhs));
-        std::vector<int> lhs_rhs = lhs;
-        lhs_rhs.insert(
-            std::lower_bound(lhs_rhs.begin(), lhs_rhs.end(), a), a);
+        SPIDER_ASSIGN_OR_RETURN(const int64_t lhs_distinct,
+                                distinct_of(lhs, -1));
         SPIDER_ASSIGN_OR_RETURN(const int64_t pair_distinct,
-                                distinct_of(lhs_rhs));
+                                distinct_of(lhs, a));
         // g3-style over distinct tuples; the clamp covers NULLs in A
         // (dropped rows can make |π_XA| < |π_X|) per MATCH SIMPLE.
         const int64_t violations =
@@ -186,8 +324,8 @@ void RegisterFdLevelwiseAlgorithms(AlgorithmRegistry& registry) {
   capabilities.kind = DependencyKind::kFd;
   capabilities.supports_partial = false;
   capabilities.summary =
-      "levelwise minimal exact FDs via distinct-tuple counts over sorted "
-      "composite sets";
+      "levelwise minimal exact FDs via distinct-tuple counts from in-memory "
+      "table partitions (sorted composite sets beyond the sort budget)";
   Status status = registry.RegisterDependency(
       "fd-levelwise", capabilities,
       [](const AlgorithmConfig& config)

@@ -1,13 +1,19 @@
-// Levelwise (approximate) functional dependency discovery over sorted
-// composite value sets ("fd-levelwise" / "afd-levelwise").
+// Levelwise (approximate) functional dependency discovery by
+// distinct-tuple counting ("fd-levelwise" / "afd-levelwise").
 //
 // An FD X -> A holds when no two rows agree on X but differ on A —
 // equivalently, when the projection onto X∪{A} has exactly as many
-// distinct tuples as the projection onto X. That reduces FD validation to
-// the machinery this codebase already streams everywhere: sorted-distinct
-// (composite) value sets materialized once by the ValueSetExtractor
-// through the ExternalSorter, so discovery works unchanged over
-// out-of-core catalogs in bounded memory.
+// distinct tuples as the projection onto X. Counts come from per-table
+// partitions (TANE, Huhtala et al. 1999): each eligible column decodes
+// once into dense per-row value ids (ValueSetExtractor::DecodeValueIds),
+// and |π_{X∪{c}}| is one refinement of X's id vector by c's — a counting
+// sort by X's id, then a stamp array over c's ids. No strings, no files.
+// A table whose partitions could outgrow the extractor's
+// sort_memory_budget_bytes counts sorted-distinct composite sets through
+// the ExternalSorter instead (ValueSetExtractor::ExtractComposite), so
+// discovery still runs over out-of-core catalogs in bounded memory. Both
+// sources give identical counts; every count is memoized in the
+// extractor, so a repeated search in one session decodes nothing.
 //
 // The error measure mirrors the n-ary g3' machinery
 // (CompositeSetVerifier), lifted to FDs over distinct tuples:
@@ -49,7 +55,8 @@ struct FdLevelwiseOptions {
   int max_lhs_arity = 2;
   /// Accept X -> A when error <= threshold; 0 = exact FDs only.
   double error_threshold = 0;
-  /// Sorted-set materializer (required). Borrowed, thread-safe.
+  /// Column decoder, count memo and sorted-set materializer for tables
+  /// beyond the sort budget (required). Borrowed, thread-safe.
   ValueSetExtractor* extractor = nullptr;
   /// When set, per-table searches run concurrently on this pool; results
   /// and counters are identical to the serial run. Borrowed.

@@ -67,6 +67,9 @@ void WriteIndReport(const SessionReport& report,
   json.KV("profile_reused", report.profile_reused);
   json.KV("candidates_revalidated", report.candidates_revalidated);
   json.KV("verdicts_reused", report.verdicts_reused);
+  if (!report.profile_seal_error.empty()) {
+    json.KV("profile_seal_error", report.profile_seal_error);
+  }
   json.Key("satisfied_inds");
   json.BeginArray();
   for (const Ind& ind : report.run.satisfied) {

@@ -7,6 +7,7 @@
 #include <set>
 #include <utility>
 
+#include "src/common/logging.h"
 #include "src/common/mutex.h"
 #include "src/common/stopwatch.h"
 #include "src/common/string_util.h"
@@ -46,6 +47,16 @@ class UnionFind {
  private:
   std::vector<size_t> parent_;
 };
+
+// The profile is a cache: failing to persist it (read-only workspace, disk
+// full) degrades the next session to recomputation, it does not invalidate
+// this run's results. So the failure is logged and reported, not returned.
+void SealProfile(const ValueSetExtractor& extractor, SessionReport* report) {
+  const Status saved = extractor.SaveProfile();
+  if (saved.ok()) return;
+  SPIDER_LOG(Warn) << "profile seal failed: " << saved.ToString();
+  report->profile_seal_error = saved.ToString();
+}
 
 }  // namespace
 
@@ -441,11 +452,7 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
   }
   if (profile != nullptr &&
       (verdicts_recorded || report.run.counters.sets_extracted > 0)) {
-    // The profile is a cache: failing to persist it (read-only workspace,
-    // disk full) degrades the next session to recomputation, it does not
-    // invalidate this run's results.
-    const Status saved = config.extractor->SaveProfile();
-    (void)saved;
+    SealProfile(*config.extractor, &report);
   }
 
   report.run.satisfied.insert(report.run.satisfied.end(),
@@ -537,10 +544,8 @@ Result<SessionReport> SpiderSession::RunNary(const RunOptions& options) {
   if (report.nary_run.counters.sets_reused > 0) report.profile_reused = true;
   if (config.extractor->profile() != nullptr &&
       report.nary_run.counters.sets_extracted > 0) {
-    // Commit freshly recorded composite sets; persistence failures degrade
-    // the next session to recomputation only.
-    const Status saved = config.extractor->SaveProfile();
-    (void)saved;
+    // Commit freshly recorded composite sets.
+    SealProfile(*config.extractor, &report);
   }
   report.total_seconds = total_watch.ElapsedSeconds();
   return report;
@@ -648,6 +653,9 @@ std::string SessionReport::ToString() const {
   out += "test time:       " + Stopwatch::FormatDuration(run.seconds) + "\n";
   out += "total time:      " + Stopwatch::FormatDuration(total_seconds) + "\n";
   out += "counters:        " + run.counters.ToString() + "\n";
+  if (!profile_seal_error.empty()) {
+    out += "profile seal:    FAILED (" + profile_seal_error + ")\n";
+  }
   if (nary) {
     out += "n-ary INDs (" +
            FormatWithCommas(static_cast<int64_t>(nary_run.satisfied.size())) +

@@ -159,6 +159,10 @@ struct SessionReport {
   int64_t candidates_revalidated = 0;
   /// Candidates answered from remembered verdicts without re-verification.
   int64_t verdicts_reused = 0;
+  /// Why sealing the persisted profile after this run failed; empty when
+  /// it succeeded or nothing needed sealing. The run's results stand
+  /// either way: the next session recomputes what was not persisted.
+  std::string profile_seal_error;
 
   /// Human-readable multi-line summary.
   std::string ToString() const;

@@ -10,6 +10,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <iostream>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -18,6 +19,25 @@
 #include "src/common/logging.h"
 
 namespace spider {
+
+void AnnounceServing(int fd, std::string_view root, std::string_view host,
+                     int port) {
+  std::cerr.flush();
+  std::string line = "spiderd serving ";
+  line += root;
+  line += " on ";
+  line += host;
+  line += ":" + std::to_string(port) + "\n";
+  size_t written = 0;
+  // One call writes the whole line; the loop only finishes a write that a
+  // signal or a full pipe cut short.
+  while (written < line.size()) {
+    const ssize_t n = write(fd, line.data() + written, line.size() - written);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return;  // stderr is gone; nothing left to tell
+    written += static_cast<size_t>(n);
+  }
+}
 
 namespace {
 

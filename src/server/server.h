@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "src/common/result.h"
 #include "src/server/handlers.h"
@@ -48,6 +49,14 @@ struct ServerOptions {
   /// and its persisted profile survives for the reopen). 0 = unlimited.
   int max_sessions = 64;
 };
+
+/// Writes "spiderd serving ROOT on HOST:PORT\n" to `fd` (stderr for the
+/// daemon front ends) in one write(2), after flushing std::cerr so earlier
+/// diagnostics come first. With --port=0 the line is the only way a
+/// script learns the ephemeral port, and a reader polling the stream
+/// never sees it cut before the port.
+void AnnounceServing(int fd, std::string_view root, std::string_view host,
+                     int port);
 
 /// \brief The daemon: listener, event loop, and the shared service state
 /// (workspace sessions + job table) behind it.
@@ -76,6 +85,9 @@ class SpiderServer {
   /// Stops the loop from any thread or from a signal handler (via
   /// stop_write_fd()). Idempotent.
   void RequestStop();
+
+  /// The served workspace sessions, for inspecting a session between jobs.
+  WorkspaceCache& workspaces() { return workspaces_; }
 
  private:
   struct Connection {

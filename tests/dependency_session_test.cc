@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -243,6 +244,46 @@ INSTANTIATE_TEST_SUITE_P(Kinds, DependencyParityTest,
                          ::testing::Values(DependencyKind::kUcc,
                                            DependencyKind::kFd,
                                            DependencyKind::kAfd));
+
+int CountFiles(const std::filesystem::path& dir) {
+  int files = 0;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(dir)) {
+    files += entry.is_regular_file() ? 1 : 0;
+  }
+  return files;
+}
+
+TEST(DependencySessionTest, WarmFdRunDecodesNothingAndWritesNoFile) {
+  Catalogs catalogs = BuildCatalogs();
+  auto work = TempDir::Make("spider-fd-warm");
+  ASSERT_TRUE(work.ok());
+  SessionOptions session_options;
+  session_options.work_dir = (*work)->path().string();
+  SpiderSession session(*catalogs.disk, session_options);
+  auto extractor = session.extractor();
+  ASSERT_TRUE(extractor.ok());
+  RunOptions options;
+  options.approach = "fd-levelwise";
+  options.threads = 2;
+
+  auto cold = session.Run(options);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  const int64_t decoded = (*extractor)->columns_decoded();
+  EXPECT_GT(decoded, 0);
+  // Under the sort budget every count comes from in-memory partitions.
+  EXPECT_EQ(CountFiles((*work)->path()), 0);
+
+  // The repeat answers every count from the session's memo.
+  auto warm = session.Run(options);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(warm->dependency.fds, cold->dependency.fds);
+  EXPECT_EQ(warm->dependency.tests, cold->dependency.tests);
+  ExpectCountersEqual(warm->dependency.counters, cold->dependency.counters,
+                      "warm fd");
+  EXPECT_EQ((*extractor)->columns_decoded(), decoded);
+  EXPECT_EQ((*extractor)->sets_extracted(), 0);
+  EXPECT_EQ(CountFiles((*work)->path()), 0);
+}
 
 TEST(DependencySessionTest, KindMismatchFailsUpFrontWithValidNames) {
   auto catalog = datagen::MakePdbLike(CatalogOptions());

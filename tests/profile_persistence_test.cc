@@ -15,6 +15,7 @@
 
 #include "src/common/temp_dir.h"
 #include "src/extsort/profile_store.h"
+#include "src/ind/report_json.h"
 #include "src/ind/session.h"
 #include "src/storage/csv.h"
 #include "src/storage/disk_store.h"
@@ -53,7 +54,9 @@ Result<std::unique_ptr<Catalog>> ImportWorkspace(
 // files and profile live in the workspace itself (the CLI's layout for
 // `spider profile <workspace-dir>`).
 Result<SessionReport> PersistedRun(const std::filesystem::path& workspace,
-                                   bool profile_cache = true) {
+                                   bool profile_cache = true,
+                                   const std::string& approach =
+                                       "spider-merge") {
   SPIDER_ASSIGN_OR_RETURN(std::unique_ptr<Catalog> catalog,
                           OpenDiskCatalog(workspace));
   SessionOptions session_options;
@@ -61,7 +64,7 @@ Result<SessionReport> PersistedRun(const std::filesystem::path& workspace,
   session_options.persist_profile = true;
   SpiderSession session(std::move(catalog), session_options);
   RunOptions options;
-  options.approach = "spider-merge";
+  options.approach = approach;
   options.profile_cache = profile_cache;
   return session.Run(options);
 }
@@ -98,6 +101,51 @@ TEST(ProfilePersistenceTest, WarmSessionReusesEverythingAcrossRestart) {
   EXPECT_EQ(warm->candidates_revalidated, 0);
   EXPECT_EQ(warm->run.counters.sets_extracted, 0);
   EXPECT_EQ(warm->run.counters.tuples_read, 0);
+}
+
+TEST(ProfilePersistenceTest, SealFailuresAreReportedNotFatal) {
+  auto dir = TempDir::Make("spider-profile-persist");
+  ASSERT_TRUE(dir.ok());
+  const std::filesystem::path root = (*dir)->path();
+  // lines(order, customer) ⊆ orders(id, customer) gives the n-ary
+  // expansion a binary candidate, so it extracts composite sets.
+  ASSERT_TRUE(std::filesystem::create_directories(root / "csv"));
+  WriteFile(root / "csv" / "orders.csv", "id,customer\no1,c1\no2,c2\no3,c3\n");
+  WriteFile(root / "csv" / "lines.csv", "order,customer\no1,c1\no2,c2\n");
+  auto imported = ImportWorkspace(root / "csv", root / "wsp");
+  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
+  // A directory where the manifest's temp file goes makes every seal fail
+  // (permissions would not: the tests may run as root).
+  const std::filesystem::path blocker =
+      root / "wsp" / (std::string(kProfileManifestName) + ".tmp");
+  ASSERT_TRUE(std::filesystem::create_directory(blocker));
+
+  // Unary seal: the run's results stand, the failure is reported.
+  auto unsealed = PersistedRun(root / "wsp");
+  ASSERT_TRUE(unsealed.ok()) << unsealed.status().ToString();
+  EXPECT_TRUE(unsealed->run.finished);
+  EXPECT_FALSE(unsealed->profile_seal_error.empty());
+  EXPECT_FALSE(
+      std::filesystem::exists(root / "wsp" / kProfileManifestName));
+  EXPECT_NE(SessionReportToJson(*unsealed, {}).find("\"profile_seal_error\""),
+            std::string::npos);
+
+  std::filesystem::remove(blocker);
+  auto sealed = PersistedRun(root / "wsp");
+  ASSERT_TRUE(sealed.ok()) << sealed.status().ToString();
+  EXPECT_EQ(sealed->run.satisfied, unsealed->run.satisfied);
+  EXPECT_TRUE(sealed->profile_seal_error.empty());
+  EXPECT_EQ(SessionReportToJson(*sealed, {}).find("profile_seal_error"),
+            std::string::npos);
+
+  // N-ary seal: the warm unary base has nothing to seal, so the failure
+  // comes from committing the expansion's composite sets.
+  ASSERT_TRUE(std::filesystem::create_directory(blocker));
+  auto nary = PersistedRun(root / "wsp", /*profile_cache=*/true, "nary");
+  ASSERT_TRUE(nary.ok()) << nary.status().ToString();
+  EXPECT_EQ(nary->run.counters.sets_extracted, 0);
+  EXPECT_GT(nary->nary_run.counters.sets_extracted, 0);
+  EXPECT_FALSE(nary->profile_seal_error.empty());
 }
 
 TEST(ProfilePersistenceTest, NoProfileCacheForcesReverification) {

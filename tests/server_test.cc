@@ -105,6 +105,19 @@ TEST(HttpParserTest, RejectsMalformedRequestLine) {
 // ---------------------------------------------------------------------------
 // Run-options contract (CLI flags and daemon JSON bodies share this parser)
 
+TEST(AnnounceServingTest, WritesTheWholePortLine) {
+  int pipe_fds[2];
+  ASSERT_EQ(pipe(pipe_fds), 0);
+  AnnounceServing(pipe_fds[1], "/srv/workspaces", "127.0.0.1", 8123);
+  close(pipe_fds[1]);
+  char buffer[256];
+  const ssize_t n = read(pipe_fds[0], buffer, sizeof(buffer));
+  close(pipe_fds[0]);
+  ASSERT_GT(n, 0);
+  EXPECT_EQ(std::string(buffer, static_cast<size_t>(n)),
+            "spiderd serving /srv/workspaces on 127.0.0.1:8123\n");
+}
+
 TEST(RunOptionsParseTest, EmptyInputResolvesHistoricalDefault) {
   auto options = ParseRunOptions({});
   ASSERT_TRUE(options.ok());
@@ -651,6 +664,39 @@ TEST_F(ServerE2eTest, ConcurrentJobsShareOneExtractorCache) {
     EXPECT_NE(warm->body.find("\"sets_extracted\":0"), std::string::npos)
         << warm->body;
   }
+}
+
+TEST_F(ServerE2eTest, RepeatFdJobAnswersFromTheSessionMemo) {
+  auto count_files = [this] {
+    int files = 0;
+    for (const auto& entry :
+         std::filesystem::recursive_directory_iterator(dir_->path())) {
+      files += entry.is_regular_file() ? 1 : 0;
+    }
+    return files;
+  };
+  const std::string body = "{\"workspace\":\"smoke\",\"kind\":\"fd\"}";
+  ASSERT_EQ(Fetch(server_->port(), "POST", "/jobs", body).status, 202);
+  EXPECT_NE(AwaitJob(1).body.find("\"state\":\"finished\""),
+            std::string::npos);
+  auto session = server_->workspaces().GetOrOpen("smoke");
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto extractor = (*session)->extractor();
+  ASSERT_TRUE(extractor.ok());
+  const int64_t decoded = (*extractor)->columns_decoded();
+  EXPECT_GT(decoded, 0);
+  const int files = count_files();
+
+  ASSERT_EQ(Fetch(server_->port(), "POST", "/jobs", body).status, 202);
+  EXPECT_NE(AwaitJob(2).body.find("\"state\":\"finished\""),
+            std::string::npos);
+  ClientResponse first = Fetch(server_->port(), "GET", "/jobs/1/report");
+  ClientResponse second = Fetch(server_->port(), "GET", "/jobs/2/report");
+  ASSERT_EQ(first.status, 200);
+  EXPECT_NE(first.body.find("\"fds\":"), std::string::npos) << first.body;
+  EXPECT_EQ(StripSeconds(second.body), StripSeconds(first.body));
+  EXPECT_EQ((*extractor)->columns_decoded(), decoded);
+  EXPECT_EQ(count_files(), files);
 }
 
 TEST_F(ServerE2eTest, InvalidOptionErrorsMatchTheCliParser) {

@@ -668,8 +668,8 @@ int RunServe(const Flags& flags) {
   // A client that disappears mid-response must not kill the daemon.
   std::signal(SIGPIPE, SIG_IGN);
 
-  std::cerr << "spiderd serving " << flags.positional[0] << " on "
-            << flags.host << ":" << server.port() << "\n";
+  AnnounceServing(STDERR_FILENO, flags.positional[0], flags.host,
+                  server.port());
   Status served = server.Run();
   if (!served.ok()) return Fail(served);
   return 0;

@@ -112,8 +112,7 @@ int main(int argc, char** argv) {
 
   // Announce the bound port (stderr) — with --port=0 this is the only way
   // scripts learn the ephemeral port.
-  std::cerr << "spiderd serving " << root << " on " << host << ":"
-            << server.port() << "\n";
+  spider::AnnounceServing(STDERR_FILENO, root, host, server.port());
 
   spider::Status served = server.Run();
   if (!served.ok()) {
