@@ -32,7 +32,7 @@ Result<IndRunResult> BellBrockhausenAlgorithm::Run(
 
   TransitivityPruner pruner;
   for (const IndCandidate& candidate : candidates) {
-    if (context.ShouldStop(options_.time_budget_seconds)) {
+    if (context.ShouldStop()) {
       result.finished = false;
       break;
     }

@@ -26,10 +26,6 @@ struct BellBrockhausenOptions {
   bool min_max_pretest = true;
   /// Use decided INDs to skip implied candidates.
   bool use_transitivity = true;
-  /// Abort after this many seconds (0 = unlimited), like the SQL runners.
-  /// Deprecated: prefer RunContext::time_budget_seconds; when both are set
-  /// the tighter bound wins.
-  double time_budget_seconds = 0;
 };
 
 /// \brief Sequential join-based IND discovery with range and transitivity

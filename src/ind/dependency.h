@@ -1,15 +1,15 @@
-// The dependency-kind-generic side of the algorithm platform.
+// Dependency kinds and the UCC/FD/AFD side of the algorithm platform.
 //
 // The paper frames IND detection as one step of the Aladin profiling
 // pipeline, with uniqueness/key discovery as a sibling step over the same
-// sorted data (Sec. 1.1). This header generalizes the registry's vocabulary
-// from "IND algorithm" to "dependency algorithm": a DependencyKind tags
-// every registered approach, result structs exist for unique column
-// combinations (UCC) and (approximate) functional dependencies (FD/AFD),
-// and DependencyAlgorithm is the interface the non-IND discoverers
-// implement. IND verification keeps its dedicated IndAlgorithm /
-// NaryAlgorithm interfaces (candidates are cross-table pairs, a shape the
-// other kinds don't have); the session dispatches on the kind.
+// sorted data (Sec. 1.1). A DependencyKind tags every registered approach.
+// This header holds the result types for unique column combinations (UCC)
+// and (approximate) functional dependencies (FD/AFD), and
+// DependencyAlgorithm, the interface their discoverers implement: each
+// enumerates its own lattice per table. IND approaches implement
+// IndAlgorithm or NaryAlgorithm instead, because their candidates are
+// cross-table pairs the session generates; the session's execute step is
+// the only place that tells the kinds apart.
 
 #pragma once
 

@@ -1,14 +1,14 @@
 // Name-based registry of dependency-discovery algorithms.
 //
-// Every approach registers a factory plus a Capabilities descriptor under
-// its display name ("brute-force", "sql-join", "ucc-levelwise", ...).
-// Consumers — the SpiderSession, the CLI, the benchmarks — resolve
-// approaches by string, so adding an algorithm means one registration call
-// instead of touching an enum, a name table and every switch over it.
-// Capabilities carry a DependencyKind (IND / UCC / FD / AFD), turning the
-// registry into a multi-dependency platform: IND verification keeps its
-// two interfaces (unary IndAlgorithm, n-ary NaryAlgorithm), the other
-// kinds implement DependencyAlgorithm.
+// Every approach is one entry: its display name ("brute-force",
+// "sql-join", "ucc-levelwise", ...), a Capabilities descriptor and a
+// factory. The factory's type is the approach's family — a unary IND
+// verifier (IndAlgorithm), an n-ary IND expansion (NaryAlgorithm) or a
+// UCC/FD/AFD discoverer (DependencyAlgorithm) — and the descriptor's
+// `kind` and `nary` say the same to consumers. The SpiderSession, the CLI
+// and the benchmarks resolve approaches by string, so adding an algorithm
+// means one registration call instead of touching an enum, a name table
+// and every switch over it.
 
 #pragma once
 
@@ -16,6 +16,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "src/common/result.h"
@@ -122,30 +123,34 @@ class AlgorithmRegistry {
       std::function<Result<std::unique_ptr<DependencyAlgorithm>>(
           const AlgorithmConfig&)>;
 
+  /// An approach's family: which factory type it registered, hence which
+  /// Register*/Create* pair serves it.
+  enum class Family { kUnary, kNary, kDependency };
+
   /// The process-wide registry, with all built-in approaches registered.
   static AlgorithmRegistry& Global();
 
-  /// Registers a unary approach. Fails with AlreadyExists on a duplicate
-  /// name (across both kinds).
+  /// Registers a unary IND verifier (`kind` forced to kInd, `nary` to
+  /// false). Fails with AlreadyExists on a duplicate name in any family.
   [[nodiscard]]
   Status Register(std::string name, AlgorithmCapabilities capabilities,
                   Factory factory);
 
-  /// Registers an n-ary expansion; `capabilities.nary` is forced true.
-  /// Fails with AlreadyExists on a duplicate name (across both kinds).
+  /// Registers an n-ary IND expansion (`kind` forced to kInd, `nary` to
+  /// true). Fails with AlreadyExists on a duplicate name in any family.
   [[nodiscard]]
   Status RegisterNary(std::string name, AlgorithmCapabilities capabilities,
                       NaryFactory factory);
 
   /// Registers a non-IND dependency discoverer; `capabilities.kind` must
-  /// be kUcc, kFd or kAfd. Fails with AlreadyExists on a duplicate name
-  /// (across all registration families).
+  /// be kUcc, kFd or kAfd. Fails with AlreadyExists on a duplicate name in
+  /// any family.
   [[nodiscard]]
   Status RegisterDependency(std::string name,
                             AlgorithmCapabilities capabilities,
                             DependencyFactory factory);
 
-  /// True for any registered name, unary, n-ary or dependency.
+  /// True for any registered name.
   bool Contains(std::string_view name) const;
 
   /// Capabilities for any registered name, or NotFound with the valid
@@ -154,37 +159,32 @@ class AlgorithmRegistry {
   [[nodiscard]]
   Result<AlgorithmCapabilities> GetCapabilities(std::string_view name) const;
 
-  /// Builds a unary algorithm instance after validating `config` against
-  /// the approach's capabilities (extractor present, σ supported). An
-  /// n-ary name fails with InvalidArgument (use CreateNary).
+  /// Builds a unary verifier after validating `config` against its
+  /// capabilities (extractor present, σ and error threshold supported). A
+  /// name from another family fails with InvalidArgument naming the right
+  /// Create*.
   [[nodiscard]]
   Result<std::unique_ptr<IndAlgorithm>> Create(
       std::string_view name, const AlgorithmConfig& config = {}) const;
 
-  /// Builds an n-ary expansion instance (extractor validated). A unary
-  /// name fails with InvalidArgument (use Create).
+  /// Builds an n-ary expansion; validation as for Create.
   [[nodiscard]]
   Result<std::unique_ptr<NaryAlgorithm>> CreateNary(
       std::string_view name, const AlgorithmConfig& config = {}) const;
 
-  /// Builds a dependency discoverer (extractor / error threshold
-  /// validated). An IND name fails with InvalidArgument (use Create or
-  /// CreateNary).
+  /// Builds a UCC/FD/AFD discoverer; validation as for Create.
   [[nodiscard]]
   Result<std::unique_ptr<DependencyAlgorithm>> CreateDependency(
       std::string_view name, const AlgorithmConfig& config = {}) const;
 
-  /// All registered unary names, in registration order (deterministic).
+  /// Every registered name, in registration order (deterministic).
   std::vector<std::string> Names() const;
 
-  /// All registered n-ary expansion names, in registration order.
-  std::vector<std::string> NaryNames() const;
+  /// Every name registered in `family`, in registration order.
+  std::vector<std::string> Names(Family family) const;
 
-  /// All registered dependency-discoverer names, in registration order.
-  std::vector<std::string> DependencyNames() const;
-
-  /// Every name registered under `kind`, in registration order (unary
-  /// before n-ary for kInd). Empty when nothing handles the kind.
+  /// Every name registered under `kind`, in registration order. Empty
+  /// when nothing handles the kind.
   std::vector<std::string> NamesForKind(DependencyKind kind) const;
 
   /// The default approach for a kind: its first registered name, or
@@ -193,42 +193,39 @@ class AlgorithmRegistry {
   Result<std::string> DefaultNameForKind(DependencyKind kind) const;
 
  private:
+  /// One registered approach; the factory's alternative is its family.
   struct Entry {
     std::string name;
     AlgorithmCapabilities capabilities;
-    Factory factory;
-  };
-  struct NaryEntry {
-    std::string name;
-    AlgorithmCapabilities capabilities;
-    NaryFactory factory;
-  };
-  struct DependencyEntry {
-    std::string name;
-    AlgorithmCapabilities capabilities;
-    DependencyFactory factory;
+    /// Alternatives in Family order.
+    std::variant<Factory, NaryFactory, DependencyFactory> factory;
+
+    Family family() const { return static_cast<Family>(factory.index()); }
   };
 
   const Entry* Find(std::string_view name) const;
-  const NaryEntry* FindNary(std::string_view name) const;
-  const DependencyEntry* FindDependency(std::string_view name) const;
+
+  /// The one registration path behind Register*.
+  [[nodiscard]]
+  Status Add(Entry entry);
+
+  /// The one creation path behind Create*: lookup, family check, config
+  /// validation, factory call.
+  template <typename FamilyFactory>
+  typename FamilyFactory::result_type Build(
+      std::string_view name, const AlgorithmConfig& config) const;
 
   /// NotFound carrying the valid names grouped by kind plus a
-  /// nearest-match "did you mean" suggestion (satellite of the platform
-  /// refactor: lookup failures teach the namespace instead of restating
-  /// the bad input).
+  /// nearest-match "did you mean" suggestion.
   [[nodiscard]]
   Status UnknownNameError(std::string_view name) const;
 
   /// Shared knob validation against an entry's capabilities.
   [[nodiscard]]
-  Status ValidateConfig(const std::string& name,
-                        const AlgorithmCapabilities& capabilities,
-                        const AlgorithmConfig& config) const;
+  static Status ValidateConfig(const Entry& entry,
+                               const AlgorithmConfig& config);
 
   std::vector<Entry> entries_;
-  std::vector<NaryEntry> nary_entries_;
-  std::vector<DependencyEntry> dependency_entries_;
 };
 
 }  // namespace spider

@@ -18,6 +18,9 @@ void WriteDependencyReport(const SessionReport& report,
   json.KV("seconds", report.total_seconds);
   json.KV("tests", report.dependency.tests);
   json.KV("tuples_read", report.dependency.counters.tuples_read);
+  if (!report.profile_seal_error.empty()) {
+    json.KV("profile_seal_error", report.profile_seal_error);
+  }
   if (report.kind == DependencyKind::kUcc) {
     json.Key("uccs");
     json.BeginArray();
@@ -129,16 +132,11 @@ std::string SessionReportToJson(const SessionReport& report,
 
 std::string ApproachesToJson() {
   const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
-  std::vector<std::string> names = registry.Names();
-  for (const std::string& name : registry.NaryNames()) names.push_back(name);
-  for (const std::string& name : registry.DependencyNames()) {
-    names.push_back(name);
-  }
   JsonWriter json;
   json.BeginObject();
   json.Key("approaches");
   json.BeginArray();
-  for (const std::string& name : names) {
+  for (const std::string& name : registry.Names()) {
     // Every listed name is registered, so the lookup cannot fail.
     auto capabilities = registry.GetCapabilities(name);
     if (!capabilities.ok()) continue;

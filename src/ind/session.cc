@@ -141,10 +141,145 @@ Result<ValueSetExtractor*> SpiderSession::extractor() {
   return extractor_.get();
 }
 
-Result<IndRunResult> SpiderSession::RunParallel(
-    const RunOptions& options, const AlgorithmConfig& config,
-    const std::vector<IndCandidate>& candidates, int threads,
-    SessionReport* report) {
+namespace {
+
+// The run controls every step hands its algorithm: cancellation, progress
+// and what is left of the budget after `elapsed_seconds`. A spent budget
+// stays a tiny positive bound, so the algorithm stops at its first poll
+// instead of running unbounded.
+void SetRunControls(const RunOptions& options, double elapsed_seconds,
+                    RunContext* context) {
+  context->cancel = options.cancel;
+  context->progress = options.progress;
+  if (options.time_budget_seconds > 0) {
+    context->time_budget_seconds =
+        std::max(options.time_budget_seconds - elapsed_seconds, 1e-12);
+  }
+}
+
+// Everything a run resolves before it starts working: the capabilities it
+// was validated against, one AlgorithmConfig for every phase and the pools
+// that config points at.
+struct RunPlan {
+  AlgorithmCapabilities capabilities;
+  /// The unary verifier of an IND run: the approach itself, or the
+  /// n-ary base an expansion runs on. Empty for the other kinds.
+  std::string verifier;
+  AlgorithmCapabilities verifier_capabilities;
+  AlgorithmConfig config;
+  /// Resolved worker count. The pool starts on first use (WorkerPool), so
+  /// a run that dispatches nothing spawns no threads.
+  int threads = 1;
+  std::unique_ptr<ThreadPool> pool;
+  /// Prefetch pool for the unary merges. Distinct from `pool`: readers
+  /// block on their prefetch futures, which a shared pool's workers would
+  /// end up servicing for each other.
+  std::unique_ptr<ThreadPool> io_pool;
+};
+
+// The plan's worker pool, or nullptr when the run resolved one thread.
+ThreadPool* WorkerPool(RunPlan* plan) {
+  if (plan->pool == nullptr && plan->threads > 1) {
+    plan->pool = std::make_unique<ThreadPool>(plan->threads);
+  }
+  return plan->pool.get();
+}
+
+Status OutOfCoreError(const std::string& approach) {
+  return Status::InvalidArgument(
+      "approach '" + approach +
+      "' random-accesses materialized columns and cannot profile an "
+      "out-of-core (disk-backend) catalog");
+}
+
+// Every up-front check of a run, in a fixed order: the approach name, the
+// requested kind, out-of-core support, then the knobs of the approach's
+// family (dependency discoverer, unary verifier, n-ary expansion and its
+// base). The registry re-validates each config when the step creates its
+// algorithm.
+Result<RunPlan> ValidateRun(const Catalog& catalog, const RunOptions& options) {
+  const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
+  RunPlan plan;
+  SPIDER_ASSIGN_OR_RETURN(plan.capabilities,
+                          registry.GetCapabilities(options.approach));
+  const AlgorithmCapabilities& capabilities = plan.capabilities;
+  if (options.kind.has_value() && *options.kind != capabilities.kind) {
+    const std::vector<std::string> names = registry.NamesForKind(*options.kind);
+    return Status::InvalidArgument(
+        "approach '" + options.approach + "' discovers " +
+        std::string(KindName(capabilities.kind)) + "s, not " +
+        std::string(KindName(*options.kind)) +
+        "s (approaches for that kind: " +
+        (names.empty() ? std::string("none") : JoinStrings(names, ", ")) +
+        ")");
+  }
+  if (catalog.out_of_core() && !capabilities.supports_out_of_core) {
+    return OutOfCoreError(options.approach);
+  }
+  if (capabilities.kind != DependencyKind::kInd) {
+    // σ-coverage is an IND notion; the approximate kinds use the error
+    // threshold instead, so reject the knob instead of ignoring it.
+    if (options.min_coverage != 1.0) {
+      return Status::InvalidArgument(
+          "min_coverage (σ) applies to IND verification; use "
+          "error_threshold for approximate " +
+          std::string(KindName(capabilities.kind)) + " discovery");
+    }
+    return plan;
+  }
+  plan.verifier = options.approach;
+  plan.verifier_capabilities = capabilities;
+  if (!capabilities.nary) {
+    // Unary IND verification knows σ-partial coverage, not the g3' error
+    // threshold (that knob drives the n-ary expansion and AFD discovery).
+    if (options.error_threshold != 0) {
+      return Status::InvalidArgument(
+          "approach '" + options.approach +
+          "' verifies unary INDs; use min_coverage (σ) for partial coverage "
+          "instead of an error threshold");
+    }
+    return plan;
+  }
+  // An n-ary expansion: fail its own knobs before the (possibly long)
+  // unary base run.
+  if (options.error_threshold < 0 || options.error_threshold >= 1.0) {
+    return Status::InvalidArgument("error_threshold must be in [0, 1)");
+  }
+  if (options.error_threshold > 0 && !capabilities.supports_partial) {
+    return Status::InvalidArgument(
+        options.approach + " does not support an error threshold (error > 0)");
+  }
+  // The expansions verify exact tuple containment only: a σ-partial unary
+  // base would feed non-exact INDs into an exact expansion.
+  if (options.min_coverage < 1.0) {
+    return Status::InvalidArgument(
+        options.approach + " does not support partial (sigma < 1) coverage");
+  }
+  plan.verifier = options.nary_base;
+  SPIDER_ASSIGN_OR_RETURN(plan.verifier_capabilities,
+                          registry.GetCapabilities(options.nary_base));
+  const AlgorithmCapabilities& base = plan.verifier_capabilities;
+  if (base.nary || base.kind != DependencyKind::kInd) {
+    return Status::InvalidArgument(
+        "nary_base must name a unary approach, got " +
+        (base.nary ? std::string("n-ary expansion")
+                   : std::string(KindName(base.kind)) + " discoverer") +
+        " '" + options.nary_base + "'");
+  }
+  if (catalog.out_of_core() && !base.supports_out_of_core) {
+    return OutOfCoreError(options.nary_base);
+  }
+  return plan;
+}
+
+// Dispatches candidate partitions onto `pool` and merges the results.
+Result<IndRunResult> RunParallel(const Catalog& catalog,
+                                 const RunOptions& options,
+                                 const std::string& approach,
+                                 const AlgorithmConfig& config,
+                                 const std::vector<IndCandidate>& candidates,
+                                 ThreadPool& pool, SessionReport* report) {
+  const int threads = pool.size();
   std::vector<std::vector<IndCandidate>> partitions =
       PartitionCandidatesByComponent(candidates);
   // A collapsed candidate graph (few components) would idle most workers;
@@ -158,15 +293,10 @@ Result<IndRunResult> SpiderSession::RunParallel(
   Stopwatch verify_watch;
   verify_watch.Start();
 
-  // The pool carries both parallel stages. Extraction wants every worker
-  // even when the candidate graph collapsed to few partitions — the
-  // per-attribute sorts dominate and parallelize regardless of how the
-  // verification phase partitions.
-  ThreadPool pool(threads);
-
   // Concurrent partitions extract through the thread-safe cache; priming
   // it up front on the pool parallelizes the sort work itself instead of
-  // serializing it behind whichever partition asks first.
+  // serializing it behind whichever partition asks first. Extraction wants
+  // every worker even when the candidate graph collapsed to few partitions.
   if (config.extractor != nullptr) {
     std::set<AttributeRef> seen;
     std::vector<AttributeRef> attributes;
@@ -179,7 +309,7 @@ Result<IndRunResult> SpiderSession::RunParallel(
       }
     }
     SPIDER_RETURN_NOT_OK(
-        config.extractor->ExtractAll(*catalog_, attributes, &pool).status());
+        config.extractor->ExtractAll(catalog, attributes, &pool).status());
   }
 
   // Progress aggregation: per-partition contexts report partition-local
@@ -209,21 +339,16 @@ Result<IndRunResult> SpiderSession::RunParallel(
   std::vector<std::future<Result<IndRunResult>>> futures;
   futures.reserve(partitions.size());
   for (const std::vector<IndCandidate>& partition : partitions) {
-    futures.push_back(pool.Submit([this, &options, &config, &partition,
-                                   &verify_watch,
+    futures.push_back(pool.Submit([&catalog, &options, &approach, &config,
+                                   &partition, &verify_watch,
                                    aggregator]() -> Result<IndRunResult> {
       SPIDER_ASSIGN_OR_RETURN(
           std::unique_ptr<IndAlgorithm> algorithm,
-          AlgorithmRegistry::Global().Create(options.approach, config));
+          AlgorithmRegistry::Global().Create(approach, config));
+      // The budget is wall-clock over the whole verification phase; a
+      // partition picked up late only gets what remains.
       RunContext context;
-      context.cancel = options.cancel;
-      if (options.time_budget_seconds > 0) {
-        // The budget is wall-clock over the whole verification phase; a
-        // partition picked up late only gets what remains.
-        const double remaining =
-            options.time_budget_seconds - verify_watch.ElapsedSeconds();
-        context.time_budget_seconds = std::max(remaining, 1e-12);
-      }
+      SetRunControls(options, verify_watch.ElapsedSeconds(), &context);
       if (options.progress) {
         // last_done/last_total are per-lambda (per-partition) state, only
         // touched by the partition's own thread. last_total starts at the
@@ -241,7 +366,7 @@ Result<IndRunResult> SpiderSession::RunParallel(
                                        verify_watch.ElapsedSeconds()});
         };
       }
-      return algorithm->Run(*catalog_, partition, context);
+      return algorithm->Run(catalog, partition, context);
     }));
   }
 
@@ -274,78 +399,23 @@ Result<IndRunResult> SpiderSession::RunParallel(
   return merged;
 }
 
-Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
-  SessionReport report;
-  report.approach = options.approach;
-  Stopwatch total_watch;
-  total_watch.Start();
-
-  // Resolve the approach first so a bad name fails before any work. The
-  // extractor is only materialized for approaches that need it.
-  AlgorithmConfig config;
-  config.max_open_files = options.max_open_files;
-  config.min_coverage = options.min_coverage;
-  config.block_skip = options.block_skip;
-  SPIDER_ASSIGN_OR_RETURN(
-      AlgorithmCapabilities capabilities,
-      AlgorithmRegistry::Global().GetCapabilities(options.approach));
-  if (options.kind.has_value() && *options.kind != capabilities.kind) {
-    const std::vector<std::string> names =
-        AlgorithmRegistry::Global().NamesForKind(*options.kind);
-    return Status::InvalidArgument(
-        "approach '" + options.approach + "' discovers " +
-        std::string(KindName(capabilities.kind)) + "s, not " +
-        std::string(KindName(*options.kind)) +
-        "s (approaches for that kind: " +
-        (names.empty() ? std::string("none") : JoinStrings(names, ", ")) +
-        ")");
-  }
-  if (catalog_->out_of_core() && !capabilities.supports_out_of_core) {
-    return Status::InvalidArgument(
-        "approach '" + options.approach +
-        "' random-accesses materialized columns and cannot profile an "
-        "out-of-core (disk-backend) catalog");
-  }
-  if (capabilities.kind != DependencyKind::kInd) {
-    return RunDependency(options, capabilities);
-  }
-  if (capabilities.nary) {
-    // Fail a bad threshold before the (possibly long) unary base run.
-    if (options.error_threshold < 0 || options.error_threshold >= 1.0) {
-      return Status::InvalidArgument("error_threshold must be in [0, 1)");
-    }
-    if (options.error_threshold > 0 && !capabilities.supports_partial) {
-      return Status::InvalidArgument(
-          options.approach +
-          " does not support an error threshold (error > 0)");
-    }
-    return RunNary(options);
-  }
-  // Unary IND verification knows σ-partial coverage, not the g3' error
-  // threshold (that knob drives the n-ary expansion and AFD discovery).
-  if (options.error_threshold != 0) {
-    return Status::InvalidArgument(
-        "approach '" + options.approach +
-        "' verifies unary INDs; use min_coverage (σ) for partial coverage "
-        "instead of an error threshold");
-  }
-  if (capabilities.needs_extractor) {
-    SPIDER_ASSIGN_OR_RETURN(config.extractor, extractor());
-  }
-  // The prefetch pool is session-owned and distinct from the worker pool
-  // RunParallel builds: readers block on their prefetch futures, which a
-  // shared pool's workers would end up servicing for each other.
-  std::unique_ptr<ThreadPool> io_pool;
-  if (options.io_threads > 0 && capabilities.needs_extractor) {
-    io_pool = std::make_unique<ThreadPool>(options.io_threads);
-    config.io_pool = io_pool.get();
-  }
+// The unary IND step: candidate generation, verdict reuse against the
+// persisted profile, verification of the rest with the plan's verifier
+// (serially, or partitioned onto the pool) and recording of the fresh
+// verdicts. Returns whether any verdict was recorded.
+Result<bool> VerifyUnary(const Catalog& catalog, const RunOptions& options,
+                         RunPlan* plan, SessionReport* report) {
+  AlgorithmConfig config = plan->config;
+  // The error threshold parameterizes an n-ary expansion's g3' validation;
+  // the unary base stays exact.
+  config.error_threshold = 0;
+  if (!plan->verifier_capabilities.needs_extractor) config.extractor = nullptr;
 
   Stopwatch generation_watch;
   generation_watch.Start();
   CandidateGenerator generator(options.generator);
-  SPIDER_ASSIGN_OR_RETURN(report.candidates, generator.Generate(*catalog_));
-  report.generation_seconds = generation_watch.ElapsedSeconds();
+  SPIDER_ASSIGN_OR_RETURN(report->candidates, generator.Generate(catalog));
+  report->generation_seconds = generation_watch.ElapsedSeconds();
 
   // Delta revalidation against the persisted profile: a verdict remembered
   // under the exact statistics both attributes still carry holds for any
@@ -360,8 +430,8 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
   auto fingerprint_of = [&](const AttributeRef& attr) -> const uint64_t* {
     const auto cached = attr_fps.find(attr);
     if (cached != attr_fps.end()) return &cached->second;
-    const auto stats = report.candidates.stats.find(attr);
-    if (stats == report.candidates.stats.end()) return nullptr;
+    const auto stats = report->candidates.stats.find(attr);
+    if (stats == report->candidates.stats.end()) return nullptr;
     return &attr_fps
                 .emplace(attr, ProfileStore::StatsFingerprint(stats->second))
                 .first->second;
@@ -369,7 +439,7 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
   std::vector<IndCandidate> to_verify;
   std::vector<Ind> reused_inds;
   if (delta_eligible) {
-    for (const IndCandidate& candidate : report.candidates.candidates) {
+    for (const IndCandidate& candidate : report->candidates.candidates) {
       const uint64_t* dep_fp = fingerprint_of(candidate.dependent);
       const uint64_t* ref_fp = fingerprint_of(candidate.referenced);
       std::optional<ProfileVerdict> verdict;
@@ -379,7 +449,7 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
       }
       if (verdict.has_value() && verdict->dependent_fingerprint == *dep_fp &&
           verdict->referenced_fingerprint == *ref_fp) {
-        ++report.verdicts_reused;
+        ++report->verdicts_reused;
         if (verdict->satisfied) {
           reused_inds.push_back(Ind{candidate.dependent, candidate.referenced});
         }
@@ -388,55 +458,38 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
       }
     }
   } else {
-    to_verify = report.candidates.candidates;
+    to_verify = report->candidates.candidates;
   }
-  report.candidates_revalidated = static_cast<int64_t>(to_verify.size());
+  report->candidates_revalidated = static_cast<int64_t>(to_verify.size());
 
-  const int64_t sets_extracted_before =
-      config.extractor != nullptr ? config.extractor->sets_extracted() : 0;
-  const int64_t sets_reused_before =
-      config.extractor != nullptr ? config.extractor->sets_reused() : 0;
-
-  int threads = ThreadPool::ResolveThreadCount(options.threads);
-  if (!capabilities.parallel_safe) threads = 1;
-  if (to_verify.size() < 2) threads = 1;
-  report.threads_used = threads;
-
+  const bool parallel = plan->threads > 1 &&
+                        plan->verifier_capabilities.parallel_safe &&
+                        to_verify.size() >= 2;
+  report->threads_used = parallel ? plan->threads : 1;
   if (to_verify.empty()) {
     // Everything was answered from the profile (or there were no
-    // candidates): report.run stays at its finished, zero-work default.
-  } else if (threads <= 1) {
+    // candidates): report->run stays at its finished, zero-work default.
+  } else if (!parallel) {
     SPIDER_ASSIGN_OR_RETURN(
         std::unique_ptr<IndAlgorithm> algorithm,
-        AlgorithmRegistry::Global().Create(options.approach, config));
+        AlgorithmRegistry::Global().Create(plan->verifier, config));
     RunContext context;
-    context.time_budget_seconds = options.time_budget_seconds;
-    context.cancel = options.cancel;
-    context.progress = options.progress;
-    SPIDER_ASSIGN_OR_RETURN(report.run,
-                            algorithm->Run(*catalog_, to_verify, context));
+    SetRunControls(options, 0, &context);
+    SPIDER_ASSIGN_OR_RETURN(report->run,
+                            algorithm->Run(catalog, to_verify, context));
   } else {
     SPIDER_ASSIGN_OR_RETURN(
-        report.run,
-        RunParallel(options, config, to_verify, threads, &report));
+        report->run, RunParallel(catalog, options, plan->verifier, config,
+                                 to_verify, *WorkerPool(plan), report));
   }
-
-  if (config.extractor != nullptr) {
-    report.run.counters.sets_extracted +=
-        config.extractor->sets_extracted() - sets_extracted_before;
-    report.run.counters.sets_reused +=
-        config.extractor->sets_reused() - sets_reused_before;
-  }
-  report.profile_reused = report.verdicts_reused > 0 ||
-                          report.run.counters.sets_reused > 0;
 
   bool verdicts_recorded = false;
-  if (delta_eligible && report.run.finished && !to_verify.empty()) {
+  if (delta_eligible && report->run.finished && !to_verify.empty()) {
     // Only finished runs decide every submitted candidate; a budget- or
     // cancellation-truncated satisfied set must not be remembered as
     // "unsatisfied".
-    const std::set<Ind> satisfied(report.run.satisfied.begin(),
-                                  report.run.satisfied.end());
+    const std::set<Ind> satisfied(report->run.satisfied.begin(),
+                                  report->run.satisfied.end());
     for (const IndCandidate& candidate : to_verify) {
       const uint64_t* dep_fp = fingerprint_of(candidate.dependent);
       const uint64_t* ref_fp = fingerprint_of(candidate.referenced);
@@ -450,149 +503,153 @@ Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
       verdicts_recorded = true;
     }
   }
-  if (profile != nullptr &&
-      (verdicts_recorded || report.run.counters.sets_extracted > 0)) {
-    SealProfile(*config.extractor, &report);
-  }
 
-  report.run.satisfied.insert(report.run.satisfied.end(),
-                              std::make_move_iterator(reused_inds.begin()),
-                              std::make_move_iterator(reused_inds.end()));
+  report->run.satisfied.insert(report->run.satisfied.end(),
+                               std::make_move_iterator(reused_inds.begin()),
+                               std::make_move_iterator(reused_inds.end()));
   // One canonical order regardless of approach, partitioning, thread count
   // or verdict reuse: every configuration returns byte-identical reports.
-  report.run.satisfied = SortedInds(std::move(report.run.satisfied));
-  report.total_seconds = total_watch.ElapsedSeconds();
-  return report;
+  report->run.satisfied = SortedInds(std::move(report->run.satisfied));
+  return verdicts_recorded;
 }
 
-Result<SessionReport> SpiderSession::RunNary(const RunOptions& options) {
-  Stopwatch total_watch;
-  total_watch.Start();
+// The config an expansion or discoverer runs with: the plan's, plus its
+// worker pool when the approach may use one.
+AlgorithmConfig PooledConfig(RunPlan* plan) {
+  AlgorithmConfig config = plan->config;
+  if (plan->capabilities.parallel_safe) config.pool = WorkerPool(plan);
+  return config;
+}
 
-  // The expansions verify exact tuple containment only: a σ-partial unary
-  // base would feed non-exact INDs into an exact expansion, so reject the
-  // combination like the registry does for non-partial unary approaches.
-  if (options.min_coverage < 1.0) {
-    return Status::InvalidArgument(
-        options.approach + " does not support partial (sigma < 1) coverage");
-  }
-
-  // Phase 1: the unary base profile. It inherits every run control —
-  // threads, budget, cancellation, pretests — and its own capability
-  // checks (so a non-streaming base is still rejected on disk catalogs).
-  SPIDER_ASSIGN_OR_RETURN(
-      AlgorithmCapabilities base_capabilities,
-      AlgorithmRegistry::Global().GetCapabilities(options.nary_base));
-  if (base_capabilities.nary) {
-    return Status::InvalidArgument(
-        "nary_base must name a unary approach, got n-ary expansion '" +
-        options.nary_base + "'");
-  }
-  RunOptions base_options = options;
-  base_options.approach = options.nary_base;
-  base_options.kind.reset();  // the base is validated as unary below
-  // The error threshold parameterizes the expansion's g3' validation; the
-  // unary base stays exact.
-  base_options.error_threshold = 0;
-  SPIDER_ASSIGN_OR_RETURN(SessionReport report, Run(base_options));
-  report.approach = options.approach;
-  report.nary = true;
-  report.nary_base = options.nary_base;
-
+// The n-ary step after the unary one: expands the satisfied unary INDs
+// with the named expansion on what is left of the budget. Per-level
+// candidate batches (levelwise) / independent table pairs (clique, zigzag)
+// dispatch onto the plan's pool; results are identical at any count.
+Status ExpandNary(const Catalog& catalog, const RunOptions& options,
+                  RunPlan* plan, double elapsed_seconds,
+                  SessionReport* report) {
   // A base run that already blew the budget (or was cancelled) leaves the
   // expansion untried: its input would be an incomplete unary set.
-  if (!report.run.finished) {
-    report.nary_run.finished = false;
-    report.total_seconds = total_watch.ElapsedSeconds();
-    return report;
-  }
-
-  // Phase 2: the expansion, on the remaining budget. Per-level candidate
-  // batches (levelwise) / independent table pairs (clique, zigzag)
-  // dispatch onto a worker pool; results are identical at any count.
-  AlgorithmConfig config;
-  SPIDER_ASSIGN_OR_RETURN(config.extractor, extractor());
-  const int64_t sets_extracted_before = config.extractor->sets_extracted();
-  const int64_t sets_reused_before = config.extractor->sets_reused();
-  config.max_nary_arity = options.nary_max_arity;
-  config.error_threshold = options.error_threshold;
-  config.block_skip = options.block_skip;
-  const int threads = ThreadPool::ResolveThreadCount(options.threads);
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
-    config.pool = pool.get();
+  if (!report->run.finished) {
+    report->nary_run.finished = false;
+    return Status::OK();
   }
   SPIDER_ASSIGN_OR_RETURN(
       std::unique_ptr<NaryAlgorithm> algorithm,
-      AlgorithmRegistry::Global().CreateNary(options.approach, config));
+      AlgorithmRegistry::Global().CreateNary(options.approach,
+                                             PooledConfig(plan)));
   RunContext context;
-  context.cancel = options.cancel;
-  context.progress = options.progress;
-  if (options.time_budget_seconds > 0) {
-    const double remaining =
-        options.time_budget_seconds - total_watch.ElapsedSeconds();
-    context.time_budget_seconds = std::max(remaining, 1e-12);
-  }
+  SetRunControls(options, elapsed_seconds, &context);
   SPIDER_ASSIGN_OR_RETURN(
-      report.nary_run,
-      algorithm->Run(*catalog_, report.run.satisfied, context));
-  report.nary_run.counters.sets_extracted +=
-      config.extractor->sets_extracted() - sets_extracted_before;
-  report.nary_run.counters.sets_reused +=
-      config.extractor->sets_reused() - sets_reused_before;
-  if (report.nary_run.counters.sets_reused > 0) report.profile_reused = true;
-  if (config.extractor->profile() != nullptr &&
-      report.nary_run.counters.sets_extracted > 0) {
-    // Commit freshly recorded composite sets.
-    SealProfile(*config.extractor, &report);
-  }
-  report.total_seconds = total_watch.ElapsedSeconds();
-  return report;
+      report->nary_run,
+      algorithm->Run(catalog, report->run.satisfied, context));
+  return Status::OK();
 }
 
-Result<SessionReport> SpiderSession::RunDependency(
-    const RunOptions& options, const AlgorithmCapabilities& capabilities) {
-  SessionReport report;
-  report.approach = options.approach;
-  report.kind = capabilities.kind;
-  Stopwatch total_watch;
-  total_watch.Start();
-
-  // σ-coverage is an IND notion; the approximate kinds use the error
-  // threshold instead, so reject the knob instead of ignoring it.
-  if (options.min_coverage != 1.0) {
-    return Status::InvalidArgument(
-        "min_coverage (σ) applies to IND verification; use error_threshold "
-        "for approximate " +
-        std::string(KindName(capabilities.kind)) + " discovery");
-  }
-
-  AlgorithmConfig config;
-  config.error_threshold = options.error_threshold;
-  config.max_lhs_arity = options.max_lhs_arity;
-  config.max_nary_arity = options.nary_max_arity;
-  config.block_skip = options.block_skip;
-  if (capabilities.needs_extractor) {
-    SPIDER_ASSIGN_OR_RETURN(config.extractor, extractor());
-  }
-  int threads = ThreadPool::ResolveThreadCount(options.threads);
-  if (!capabilities.parallel_safe) threads = 1;
-  report.threads_used = threads;
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
-    config.pool = pool.get();
-  }
+// The UCC/FD/AFD step: no candidate generation — the discoverer enumerates
+// its own lattice per table, on the plan's pool when it has one.
+Status DiscoverDependencies(const Catalog& catalog, const RunOptions& options,
+                            RunPlan* plan, SessionReport* report) {
+  const AlgorithmConfig config = PooledConfig(plan);
   SPIDER_ASSIGN_OR_RETURN(
       std::unique_ptr<DependencyAlgorithm> algorithm,
       AlgorithmRegistry::Global().CreateDependency(options.approach, config));
+  report->threads_used = config.pool != nullptr ? config.pool->size() : 1;
   RunContext context;
-  context.time_budget_seconds = options.time_budget_seconds;
-  context.cancel = options.cancel;
-  context.progress = options.progress;
-  SPIDER_ASSIGN_OR_RETURN(report.dependency,
-                          algorithm->Run(*catalog_, context));
+  SetRunControls(options, 0, &context);
+  SPIDER_ASSIGN_OR_RETURN(report->dependency, algorithm->Run(catalog, context));
+  return Status::OK();
+}
+
+// The extractor's set counters at a phase boundary.
+struct SetMark {
+  int64_t extracted = 0;
+  int64_t reused = 0;
+};
+
+SetMark MarkSets(const ValueSetExtractor* extractor) {
+  if (extractor == nullptr) return {};
+  return {extractor->sets_extracted(), extractor->sets_reused()};
+}
+
+// Charges the sets extracted and reused since `mark` to one phase's
+// counters and moves the mark to now.
+void FoldSets(const ValueSetExtractor* extractor, SetMark* mark,
+              RunCounters* counters) {
+  const SetMark now = MarkSets(extractor);
+  counters->sets_extracted += now.extracted - mark->extracted;
+  counters->sets_reused += now.reused - mark->reused;
+  *mark = now;
+}
+
+}  // namespace
+
+Result<SessionReport> SpiderSession::Run(const RunOptions& options) {
+  Stopwatch total_watch;
+  total_watch.Start();
+
+  // Validate: a bad name or knob fails before any work.
+  SPIDER_ASSIGN_OR_RETURN(RunPlan plan, ValidateRun(*catalog_, options));
+
+  // Plan: one config, extractor and thread count for every phase.
+  // Factories read only the fields that apply to them.
+  AlgorithmConfig& config = plan.config;
+  config.max_open_files = options.max_open_files;
+  config.min_coverage = options.min_coverage;
+  config.max_nary_arity = options.nary_max_arity;
+  config.error_threshold = options.error_threshold;
+  config.max_lhs_arity = options.max_lhs_arity;
+  config.block_skip = options.block_skip;
+  if (plan.capabilities.needs_extractor ||
+      plan.verifier_capabilities.needs_extractor) {
+    SPIDER_ASSIGN_OR_RETURN(config.extractor, extractor());
+  }
+  plan.threads = ThreadPool::ResolveThreadCount(options.threads);
+  if (options.io_threads > 0 && plan.verifier_capabilities.needs_extractor) {
+    plan.io_pool = std::make_unique<ThreadPool>(options.io_threads);
+    config.io_pool = plan.io_pool.get();
+  }
+
+  SessionReport report;
+  report.approach = options.approach;
+  report.kind = plan.capabilities.kind;
+  report.nary = plan.capabilities.nary;
+  if (report.nary) report.nary_base = options.nary_base;
+
+  // Execute the kind's steps; each phase is charged the sets it extracted
+  // and reused, also when it failed.
+  ValueSetExtractor* const sets = config.extractor;
+  SetMark mark = MarkSets(sets);
+  bool verdicts_recorded = false;
+  Status executed;
+  if (report.kind != DependencyKind::kInd) {
+    executed = DiscoverDependencies(*catalog_, options, &plan, &report);
+    FoldSets(sets, &mark, &report.dependency.counters);
+  } else {
+    Result<bool> verified = VerifyUnary(*catalog_, options, &plan, &report);
+    FoldSets(sets, &mark, &report.run.counters);
+    executed = verified.status();
+    if (executed.ok()) verdicts_recorded = *verified;
+    if (executed.ok() && report.nary) {
+      executed = ExpandNary(*catalog_, options, &plan,
+                            total_watch.ElapsedSeconds(), &report);
+      FoldSets(sets, &mark, &report.nary_run.counters);
+    }
+  }
+
+  // Seal: commit fresh verdicts and set files once, whatever the kind, and
+  // also after a failed step. What was recorded before the failure (the
+  // verdicts of an expansion's unary base, every completely written set)
+  // stays valid, and the next process need not redo it.
+  RunCounters phases = report.run.counters;
+  phases.Merge(report.nary_run.counters);
+  phases.Merge(report.dependency.counters);
+  report.profile_reused = report.verdicts_reused > 0 || phases.sets_reused > 0;
+  if (sets != nullptr && sets->profile() != nullptr &&
+      (verdicts_recorded || phases.sets_extracted > 0)) {
+    SealProfile(*sets, &report);
+  }
+  SPIDER_RETURN_NOT_OK(executed);
   report.total_seconds = total_watch.ElapsedSeconds();
   return report;
 }
@@ -618,6 +675,9 @@ std::string SessionReport::ToString() const {
     out += "total time:      " + Stopwatch::FormatDuration(total_seconds) +
            "\n";
     out += "counters:        " + dependency.counters.ToString() + "\n";
+    if (!profile_seal_error.empty()) {
+      out += "profile seal:    FAILED (" + profile_seal_error + ")\n";
+    }
     for (const Ucc& ucc : dependency.uccs) {
       out += "  " + ucc.ToString() + "\n";
     }

@@ -1,19 +1,30 @@
 // SpiderSession: the registry-driven profiling entry point.
 //
-// A session binds one catalog to a sorted-value-set workspace. Each Run()
-// resolves an approach by registry name, generates candidates and executes
-// the algorithm under one unified set of controls (time budget,
-// cancellation, progress, σ-partial coverage, memory/file budgets). The
-// extractor cache lives in the session, so sweeping several approaches
-// over the same catalog extracts and sorts each attribute only once —
-// exactly the reuse the paper's database-external approaches are built on.
+// A session binds one catalog to a sorted-value-set workspace. Every Run(),
+// whatever dependency kind its approach discovers, is one pipeline:
 //
-// With RunOptions::threads != 1 the verification phase runs on a worker
-// pool: the candidate set is partitioned into connected components of the
+//   validate  all options up front, in a fixed order;
+//   plan      one AlgorithmConfig, the extractor and the thread count;
+//   execute   the kind's steps — unary IND verification, that followed by
+//             an n-ary expansion on RunOptions::nary_base's result, or a
+//             UCC/FD/AFD discoverer;
+//   fold      each phase's extracted and reused sets into its counters;
+//   seal      the persisted profile, at most once, also after a failed
+//             step.
+//
+// Every step runs under one set of controls (time budget, cancellation,
+// progress, σ-partial coverage, memory/file budgets). The extractor cache
+// lives in the session, so sweeping several approaches over the same
+// catalog extracts and sorts each attribute only once — exactly the reuse
+// the paper's database-external approaches are built on.
+//
+// With RunOptions::threads != 1 unary verification runs on a worker pool:
+// the candidate set is partitioned into connected components of the
 // attribute graph and independent partitions execute concurrently, each on
 // its own algorithm instance, under one shared cancellation token and time
-// budget. Results are identical to the single-threaded run — the satisfied
-// set is returned sorted either way.
+// budget. Expansions and discoverers get the same pool, which starts only
+// when a step uses it. Results are identical to the single-threaded run —
+// every result is returned sorted.
 //
 //   SpiderSession session(catalog);
 //   RunOptions options;
@@ -205,8 +216,9 @@ class SpiderSession {
 
   const Catalog& catalog() const { return *catalog_; }
 
-  /// Generates candidates and runs the named approach. Value-set
-  /// extraction is cached across calls.
+  /// Validates `options`, runs the named approach of any kind and seals
+  /// the persisted profile when the run added to it (even when the run
+  /// then fails). Value-set extraction is cached across calls.
   [[nodiscard]]
   Result<SessionReport> Run(const RunOptions& options = {});
 
@@ -218,27 +230,6 @@ class SpiderSession {
   Result<ValueSetExtractor*> extractor() SPIDER_EXCLUDES(mutex_);
 
  private:
-  /// Dispatches partitions onto `threads` workers and merges the results.
-  [[nodiscard]]
-  Result<IndRunResult> RunParallel(const RunOptions& options,
-                                   const AlgorithmConfig& config,
-                                   const std::vector<IndCandidate>& candidates,
-                                   int threads, SessionReport* report);
-
-  /// The two-phase n-ary path: profile unary INDs with options.nary_base,
-  /// then expand them with the named n-ary approach (per-level batches on
-  /// a worker pool when options.threads != 1), under one overall budget.
-  [[nodiscard]]
-  Result<SessionReport> RunNary(const RunOptions& options);
-
-  /// The non-IND path (UCC/FD/AFD): no candidate generation — the
-  /// discoverer enumerates its own lattice per table, on a worker pool
-  /// when options.threads != 1, under the same budget/cancel/progress
-  /// controls.
-  [[nodiscard]]
-  Result<SessionReport> RunDependency(
-      const RunOptions& options, const AlgorithmCapabilities& capabilities);
-
   const Catalog* catalog_;
   std::unique_ptr<Catalog> owned_catalog_;
   SessionOptions options_;

@@ -26,7 +26,7 @@ class Monitor {
   // Runs deliveries until no referenced object is ready. Returns false
   // when the run context stopped the drain early (budget / cancellation);
   // undecided candidates then stay undecided.
-  Result<bool> Drain(RunContext& context);
+  bool Drain(RunContext& context);
 
  private:
   std::deque<ReferencedObject*> queue_;
@@ -98,8 +98,11 @@ class DependentObject {
 
   const AttributeRef& attr() const { return attr_; }
 
+  const Status& reader_status() const { return reader_->status(); }
+
   // Reads the first dependent value. Returns false when the set is empty
-  // (the caller then decides all its candidates as vacuously satisfied).
+  // (the caller then decides all its candidates as vacuously satisfied) or
+  // unreadable (reader_status() says which).
   bool Init() {
     if (!reader_->HasNext()) return false;
     current_ = reader_->Next();
@@ -233,7 +236,7 @@ void Monitor::EnqueueIfReady(ReferencedObject* ref) {
   }
 }
 
-Result<bool> Monitor::Drain(RunContext& context) {
+bool Monitor::Drain(RunContext& context) {
   // Budget/cancellation polls are throttled: one clock read per
   // kStopPollInterval deliveries keeps the hot loop cheap.
   constexpr int64_t kStopPollInterval = 64;
@@ -249,7 +252,6 @@ Result<bool> Monitor::Drain(RunContext& context) {
     // change that restores readiness re-enqueues.
     if (!ref->ReadyToDeliver()) continue;
     ref->Deliver();
-    SPIDER_RETURN_NOT_OK(ref->reader_status());
   }
   return true;
 }
@@ -316,7 +318,17 @@ Result<bool> RunBlock(const Catalog& catalog, ValueSetExtractor* extractor,
         ->Register(refs.at(candidate.referenced).get());
   }
 
-  SPIDER_ASSIGN_OR_RETURN(bool drained, monitor.Drain(context));
+  const bool drained = monitor.Drain(context);
+  // A read error also ends a stream (HasNext() turns false), which the
+  // objects above took for exhaustion: an unreadable dependent set looks
+  // empty or fully matched, an unreadable referenced set looks exhausted.
+  // Every decision of this block is void unless all readers ended cleanly.
+  for (const auto& [attr, dep] : deps) {
+    SPIDER_RETURN_NOT_OK(dep->reader_status());
+  }
+  for (const auto& [attr, ref] : refs) {
+    SPIDER_RETURN_NOT_OK(ref->reader_status());
+  }
   if (!drained) return false;
 
   // Theorem 3.1: when the monitor runs dry every candidate is decided —

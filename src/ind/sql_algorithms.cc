@@ -12,10 +12,10 @@ namespace spider {
 namespace {
 
 // Shared driver: runs `test_one` per candidate under the run context's
-// budget (and the legacy per-algorithm budget, whichever is tighter).
+// budget.
 Result<IndRunResult> RunSqlApproach(
     const Catalog& catalog, const std::vector<IndCandidate>& candidates,
-    const SqlAlgorithmOptions& options, RunContext& context,
+    RunContext& context,
     const std::function<Result<bool>(const Column& dep, const Column& ref,
                                      RunCounters* counters)>& test_one) {
   IndRunResult result;
@@ -24,7 +24,7 @@ Result<IndRunResult> RunSqlApproach(
   context.Begin(static_cast<int64_t>(candidates.size()));
 
   for (const IndCandidate& candidate : candidates) {
-    if (context.ShouldStop(options.time_budget_seconds)) {
+    if (context.ShouldStop()) {
       result.finished = false;
       break;
     }
@@ -52,7 +52,7 @@ Result<IndRunResult> SqlJoinAlgorithm::Run(
     RunContext& context) {
   const JoinStrategy strategy = strategy_;
   return RunSqlApproach(
-      catalog, candidates, options_, context,
+      catalog, candidates, context,
       [strategy](const Column& dep, const Column& ref,
                  RunCounters* counters) -> Result<bool> {
         SPIDER_ASSIGN_OR_RETURN(
@@ -68,7 +68,7 @@ Result<IndRunResult> SqlMinusAlgorithm::Run(
     const Catalog& catalog, const std::vector<IndCandidate>& candidates,
     RunContext& context) {
   return RunSqlApproach(
-      catalog, candidates, options_, context,
+      catalog, candidates, context,
       [](const Column& dep, const Column& ref,
          RunCounters* counters) -> Result<bool> {
         SPIDER_ASSIGN_OR_RETURN(const int64_t unmatched,
@@ -81,7 +81,7 @@ Result<IndRunResult> SqlNotInAlgorithm::Run(
     const Catalog& catalog, const std::vector<IndCandidate>& candidates,
     RunContext& context) {
   return RunSqlApproach(
-      catalog, candidates, options_, context,
+      catalog, candidates, context,
       [](const Column& dep, const Column& ref,
          RunCounters* counters) -> Result<bool> {
         SPIDER_ASSIGN_OR_RETURN(const int64_t unmatched,

@@ -6,8 +6,9 @@
 // early stop, and that each statement re-scans and re-sorts base data
 // because sorted sets cannot be reused across queries.
 //
-// A wall-clock budget models the paper's aborted runs ("> 7 days"): when
-// exceeded, Run() returns a partial result with finished = false.
+// RunContext's wall-clock budget models the paper's aborted runs
+// ("> 7 days"): when exceeded, Run() returns a partial result with
+// finished = false.
 
 #pragma once
 
@@ -16,14 +17,6 @@
 namespace spider {
 
 class AlgorithmRegistry;
-
-/// Options shared by the SQL approaches.
-struct SqlAlgorithmOptions {
-  /// Abort the run (finished=false) after this many seconds; 0 = unlimited.
-  /// Deprecated: prefer RunContext::time_budget_seconds, which applies to
-  /// every approach; when both are set the tighter bound wins.
-  double time_budget_seconds = 0;
-};
 
 /// Physical plan the "optimizer" picks for the join statement.
 enum class JoinStrategy {
@@ -35,9 +28,8 @@ enum class JoinStrategy {
 /// and compare against the number of non-NULL dependent values.
 class SqlJoinAlgorithm final : public IndAlgorithm {
  public:
-  explicit SqlJoinAlgorithm(SqlAlgorithmOptions options = {},
-                            JoinStrategy strategy = JoinStrategy::kHash)
-      : options_(options), strategy_(strategy) {}
+  explicit SqlJoinAlgorithm(JoinStrategy strategy = JoinStrategy::kHash)
+      : strategy_(strategy) {}
   using IndAlgorithm::Run;
   [[nodiscard]]
   Result<IndRunResult> Run(const Catalog& catalog,
@@ -46,7 +38,6 @@ class SqlJoinAlgorithm final : public IndAlgorithm {
   std::string_view name() const override { return "sql-join"; }
 
  private:
-  SqlAlgorithmOptions options_;
   JoinStrategy strategy_;
 };
 
@@ -55,17 +46,12 @@ class SqlJoinAlgorithm final : public IndAlgorithm {
 /// is not pushed down — Sec. 2.2).
 class SqlMinusAlgorithm final : public IndAlgorithm {
  public:
-  explicit SqlMinusAlgorithm(SqlAlgorithmOptions options = {})
-      : options_(options) {}
   using IndAlgorithm::Run;
   [[nodiscard]]
   Result<IndRunResult> Run(const Catalog& catalog,
                            const std::vector<IndCandidate>& candidates,
                            RunContext& context) override;
   std::string_view name() const override { return "sql-minus"; }
-
- private:
-  SqlAlgorithmOptions options_;
 };
 
 /// \brief Statement "utilizing not in" (paper Fig. 4): no dependent value
@@ -73,17 +59,12 @@ class SqlMinusAlgorithm final : public IndAlgorithm {
 /// join, the slowest plan in the paper's measurements.
 class SqlNotInAlgorithm final : public IndAlgorithm {
  public:
-  explicit SqlNotInAlgorithm(SqlAlgorithmOptions options = {})
-      : options_(options) {}
   using IndAlgorithm::Run;
   [[nodiscard]]
   Result<IndRunResult> Run(const Catalog& catalog,
                            const std::vector<IndCandidate>& candidates,
                            RunContext& context) override;
   std::string_view name() const override { return "sql-not-in"; }
-
- private:
-  SqlAlgorithmOptions options_;
 };
 
 /// Registers "sql-join", "sql-minus" and "sql-not-in" (called once from

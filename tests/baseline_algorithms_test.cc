@@ -119,10 +119,11 @@ TEST(BellBrockhausenTest, TimeBudgetAborts) {
   testing::AddStringColumn(&catalog, "r", "c", values);
   std::vector<IndCandidate> candidates(50, {{"d", "c"}, {"r", "c"}});
   BellBrockhausenOptions options;
-  options.time_budget_seconds = 1e-9;
   options.use_transitivity = false;  // otherwise the repeat is skipped
   BellBrockhausenAlgorithm algorithm(options);
-  auto result = algorithm.Run(catalog, candidates);
+  RunContext context;
+  context.time_budget_seconds = 1e-9;
+  auto result = algorithm.Run(catalog, candidates, context);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->finished);
 }

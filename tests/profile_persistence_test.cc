@@ -6,14 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "src/common/temp_dir.h"
+#include "src/common/value_codec.h"
+#include "src/extsort/sorted_set_file.h"
 #include "src/extsort/profile_store.h"
 #include "src/ind/report_json.h"
 #include "src/ind/session.h"
@@ -148,6 +152,111 @@ TEST(ProfilePersistenceTest, SealFailuresAreReportedNotFatal) {
   EXPECT_FALSE(nary->profile_seal_error.empty());
 }
 
+TEST(ProfilePersistenceTest, UccRunsSealTheirSetsForTheNextSession) {
+  auto dir = TempDir::Make("spider-profile-persist");
+  ASSERT_TRUE(dir.ok());
+  const std::filesystem::path root = (*dir)->path();
+  // Neither pairs column is unique on its own, so {a, b} needs a composite
+  // (tuple-) set besides the unary ones.
+  ASSERT_TRUE(std::filesystem::create_directories(root / "csv"));
+  WriteFile(root / "csv" / "pairs.csv", "a,b\n1,x\n1,y\n2,x\n");
+  WriteFile(root / "csv" / "orders.csv", "id,customer\no1,c1\no2,c2\no3,c1\n");
+  auto imported = ImportWorkspace(root / "csv", root / "wsp");
+  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
+
+  auto cold = PersistedRun(root / "wsp", /*profile_cache=*/true,
+                           "ucc-levelwise");
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_TRUE(cold->dependency.finished);
+  EXPECT_TRUE(std::find(cold->dependency.uccs.begin(),
+                        cold->dependency.uccs.end(),
+                        Ucc{"pairs", {"a", "b"}}) !=
+              cold->dependency.uccs.end());
+  EXPECT_GT(cold->dependency.counters.sets_extracted, 0);
+  EXPECT_EQ(cold->dependency.counters.sets_reused, 0);
+  EXPECT_FALSE(cold->profile_reused);
+  EXPECT_TRUE(cold->profile_seal_error.empty());
+  std::ifstream manifest(root / "wsp" / kProfileManifestName);
+  ASSERT_TRUE(manifest.good());
+  const std::string sealed((std::istreambuf_iterator<char>(manifest)),
+                           std::istreambuf_iterator<char>());
+  EXPECT_NE(sealed.find("tuple-"), std::string::npos);
+
+  // A new session sorts nothing again: every set comes from the profile.
+  auto warm = PersistedRun(root / "wsp", /*profile_cache=*/true,
+                           "ucc-levelwise");
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(warm->dependency.uccs, cold->dependency.uccs);
+  EXPECT_EQ(warm->dependency.tests, cold->dependency.tests);
+  EXPECT_EQ(warm->dependency.counters.sets_extracted, 0);
+  EXPECT_GT(warm->dependency.counters.sets_reused, 0);
+  EXPECT_TRUE(warm->profile_reused);
+  EXPECT_EQ(SessionReportToJson(*warm, {}).find("profile_seal_error"),
+            std::string::npos);
+
+  // Without the manifest every set is sorted again, and a seal that fails
+  // reaches the report like the IND kinds' does.
+  std::filesystem::remove(root / "wsp" / kProfileManifestName);
+  ASSERT_TRUE(std::filesystem::create_directory(
+      root / "wsp" / (std::string(kProfileManifestName) + ".tmp")));
+  auto unsealed = PersistedRun(root / "wsp", /*profile_cache=*/true,
+                               "ucc-levelwise");
+  ASSERT_TRUE(unsealed.ok()) << unsealed.status().ToString();
+  EXPECT_EQ(unsealed->dependency.uccs, cold->dependency.uccs);
+  EXPECT_GT(unsealed->dependency.counters.sets_extracted, 0);
+  EXPECT_FALSE(unsealed->profile_seal_error.empty());
+  EXPECT_NE(SessionReportToJson(*unsealed, {}).find("\"profile_seal_error\""),
+            std::string::npos);
+}
+
+// An n-ary expansion whose creation always fails, standing in for one that
+// hits an error after its unary base ran.
+const char kFailingExpansion[] = "failing-nary-test";
+
+void RegisterFailingExpansion() {
+  static const bool registered = [] {
+    AlgorithmCapabilities capabilities;
+    capabilities.supports_out_of_core = true;
+    capabilities.summary = "an expansion that fails to start";
+    return AlgorithmRegistry::Global()
+        .RegisterNary(kFailingExpansion, capabilities,
+                      [](const AlgorithmConfig&)
+                          -> Result<std::unique_ptr<NaryAlgorithm>> {
+                        return Status::IOError("expansion unavailable");
+                      })
+        .ok();
+  }();
+  ASSERT_TRUE(registered);
+}
+
+TEST(ProfilePersistenceTest, FailedExpansionStillSealsItsUnaryBase) {
+  RegisterFailingExpansion();
+  auto dir = TempDir::Make("spider-profile-persist");
+  ASSERT_TRUE(dir.ok());
+  const std::filesystem::path root = (*dir)->path();
+  WriteDump(root / "csv");
+  auto imported = ImportWorkspace(root / "csv", root / "wsp");
+  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
+
+  auto failed = PersistedRun(root / "wsp", /*profile_cache=*/true,
+                             kFailingExpansion);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsIOError()) << failed.status().ToString();
+  EXPECT_TRUE(
+      std::filesystem::exists(root / "wsp" / kProfileManifestName));
+
+  // The base's verdicts and sets were sealed before the error returned: a
+  // new process verifies and sorts nothing.
+  auto warm = PersistedRun(root / "wsp");
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_TRUE(warm->run.finished);
+  EXPECT_TRUE(testing::ToSet(warm->run.satisfied)
+                  .contains(Ind{{"orders", "customer"}, {"customers", "id"}}));
+  EXPECT_GT(warm->verdicts_reused, 0);
+  EXPECT_EQ(warm->candidates_revalidated, 0);
+  EXPECT_EQ(warm->run.counters.sets_extracted, 0);
+}
+
 TEST(ProfilePersistenceTest, NoProfileCacheForcesReverification) {
   auto dir = TempDir::Make("spider-profile-persist");
   ASSERT_TRUE(dir.ok());
@@ -262,6 +371,49 @@ void Corrupt(const std::filesystem::path& path, Corruption kind,
   file.seekp(offset);
   file.put(byte);
   ASSERT_TRUE(file.good()) << path;
+}
+
+TEST(ProfilePersistenceTest, StrayFlatSetFilesAreReExtracted) {
+  auto dir = TempDir::Make("spider-profile-flat");
+  ASSERT_TRUE(dir.ok());
+  const std::filesystem::path root = (*dir)->path();
+  WriteDump(root / "csv");
+  auto imported = ImportWorkspace(root / "csv", root / "wsp");
+  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
+  auto cold = PersistedRun(root / "wsp");
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+
+  // Rewrite every set file as a flat record stream of the same values (the
+  // format before block indexes): no magic, so not a set file any more.
+  int64_t rewritten = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(root / "wsp")) {
+    if (entry.path().extension() != ".set") continue;
+    auto reader = SortedSetReader::Open(entry.path());
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    std::vector<std::string> values;
+    while ((*reader)->HasNext()) values.push_back((*reader)->Next());
+    reader->reset();
+    std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
+    for (const std::string& value : values) {
+      ASSERT_TRUE(WriteValueRecord(out, value).ok());
+    }
+    ASSERT_TRUE(SortedSetReader::Open(entry.path()).status().IsIOError());
+    ++rewritten;
+  }
+  ASSERT_GT(rewritten, 0);
+
+  // Verification must read the sets, so remembered verdicts stay unused:
+  // every flat file fails the profile's content check and is sorted again.
+  auto rerun = PersistedRun(root / "wsp", /*profile_cache=*/false);
+  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+  EXPECT_TRUE(rerun->run.finished);
+  EXPECT_EQ(rerun->run.satisfied, cold->run.satisfied);
+  EXPECT_EQ(rerun->run.counters.sets_extracted, rewritten);
+  EXPECT_EQ(rerun->run.counters.sets_reused, 0);
+  for (const auto& entry : std::filesystem::directory_iterator(root / "wsp")) {
+    if (entry.path().extension() != ".set") continue;
+    EXPECT_TRUE(SortedSetReader::Open(entry.path()).ok()) << entry.path();
+  }
 }
 
 TEST(ProfilePersistenceTest, CorruptedArtifactsFallBackToPristineResults) {

@@ -10,35 +10,32 @@ namespace spider {
 namespace {
 
 TEST(RegistryTest, AllBuiltinApproachesAreRegistered) {
+  // Names() lists every family in registration order: unary verifiers,
+  // n-ary expansions, then the UCC/FD/AFD discoverers.
   const std::vector<std::string> names = AlgorithmRegistry::Global().Names();
-  EXPECT_EQ(names.size(), 8u);
-  for (const char* expected :
-       {"brute-force", "single-pass", "sql-join", "sql-minus", "sql-not-in",
-        "spider-merge", "de-marchi", "bell-brockhausen"}) {
-    EXPECT_TRUE(AlgorithmRegistry::Global().Contains(expected)) << expected;
-  }
-  const std::vector<std::string> nary_names =
-      AlgorithmRegistry::Global().NaryNames();
-  EXPECT_EQ(nary_names,
-            (std::vector<std::string>{"nary", "clique-nary", "zigzag"}));
-  for (const std::string& name : nary_names) {
+  EXPECT_EQ(names,
+            (std::vector<std::string>{
+                "brute-force", "single-pass", "sql-join", "sql-minus",
+                "sql-not-in", "spider-merge", "de-marchi", "bell-brockhausen",
+                "nary", "clique-nary", "zigzag", "ucc-levelwise",
+                "fd-levelwise", "afd-levelwise"}));
+  for (const std::string& name : names) {
     EXPECT_TRUE(AlgorithmRegistry::Global().Contains(name)) << name;
   }
-  const std::vector<std::string> dependency_names =
-      AlgorithmRegistry::Global().DependencyNames();
-  EXPECT_EQ(dependency_names,
+  EXPECT_EQ(testing::Approaches(testing::Family::kUnary).size(), 8u);
+  EXPECT_EQ(testing::Approaches(testing::Family::kNary),
+            (std::vector<std::string>{"nary", "clique-nary", "zigzag"}));
+  EXPECT_EQ(testing::Approaches(testing::Family::kDependency),
             (std::vector<std::string>{"ucc-levelwise", "fd-levelwise",
                                       "afd-levelwise"}));
-  for (const std::string& name : dependency_names) {
-    EXPECT_TRUE(AlgorithmRegistry::Global().Contains(name)) << name;
-  }
 }
 
 TEST(RegistryTest, NamesForKindPartitionTheNamespace) {
   const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
   // kInd spans both IND families: unary verifiers then n-ary expansions.
-  std::vector<std::string> ind_names = registry.Names();
-  for (const std::string& name : registry.NaryNames()) {
+  std::vector<std::string> ind_names =
+      testing::Approaches(testing::Family::kUnary);
+  for (const std::string& name : testing::Approaches(testing::Family::kNary)) {
     ind_names.push_back(name);
   }
   EXPECT_EQ(registry.NamesForKind(DependencyKind::kInd), ind_names);
@@ -60,17 +57,18 @@ TEST(RegistryTest, NamesForKindPartitionTheNamespace) {
 
 TEST(RegistryTest, DependencyCapabilitiesCarryTheirKind) {
   const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
-  for (const std::string& name : registry.Names()) {
+  for (const std::string& name : testing::Approaches(testing::Family::kUnary)) {
     auto capabilities = registry.GetCapabilities(name);
     ASSERT_TRUE(capabilities.ok()) << name;
     EXPECT_EQ(capabilities->kind, DependencyKind::kInd) << name;
   }
-  for (const std::string& name : registry.NaryNames()) {
+  for (const std::string& name : testing::Approaches(testing::Family::kNary)) {
     auto capabilities = registry.GetCapabilities(name);
     ASSERT_TRUE(capabilities.ok()) << name;
     EXPECT_EQ(capabilities->kind, DependencyKind::kInd) << name;
   }
-  for (const std::string& name : registry.DependencyNames()) {
+  for (const std::string& name :
+       testing::Approaches(testing::Family::kDependency)) {
     auto capabilities = registry.GetCapabilities(name);
     ASSERT_TRUE(capabilities.ok()) << name;
     EXPECT_NE(capabilities->kind, DependencyKind::kInd) << name;
@@ -92,7 +90,8 @@ TEST(RegistryTest, CreateDependencyValidatesFamilyAndConfig) {
   config.extractor = &extractor;
   const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
 
-  for (const std::string& name : registry.DependencyNames()) {
+  for (const std::string& name :
+       testing::Approaches(testing::Family::kDependency)) {
     auto algorithm = registry.CreateDependency(name, config);
     ASSERT_TRUE(algorithm.ok())
         << name << ": " << algorithm.status().ToString();
@@ -155,7 +154,7 @@ TEST(RegistryTest, UnknownNameSuggestsTheNearestApproach) {
 }
 
 TEST(RegistryTest, NaryCapabilitiesStreamOutOfCore) {
-  for (const std::string& name : AlgorithmRegistry::Global().NaryNames()) {
+  for (const std::string& name : testing::Approaches(testing::Family::kNary)) {
     auto capabilities = AlgorithmRegistry::Global().GetCapabilities(name);
     ASSERT_TRUE(capabilities.ok()) << name;
     EXPECT_TRUE(capabilities->nary) << name;
@@ -164,7 +163,7 @@ TEST(RegistryTest, NaryCapabilitiesStreamOutOfCore) {
     EXPECT_TRUE(capabilities->parallel_safe) << name;
   }
   // Unary capabilities never carry the nary flag.
-  for (const std::string& name : AlgorithmRegistry::Global().Names()) {
+  for (const std::string& name : testing::Approaches(testing::Family::kUnary)) {
     auto capabilities = AlgorithmRegistry::Global().GetCapabilities(name);
     ASSERT_TRUE(capabilities.ok()) << name;
     EXPECT_FALSE(capabilities->nary) << name;
@@ -219,7 +218,7 @@ TEST(RegistryTest, CreateAndCreateNaryRejectTheWrongKind) {
                   .CreateNary("zigzag", approximate)
                   .status()
                   .IsInvalidArgument());
-  for (const std::string& name : AlgorithmRegistry::Global().NaryNames()) {
+  for (const std::string& name : testing::Approaches(testing::Family::kNary)) {
     auto algorithm = AlgorithmRegistry::Global().CreateNary(name, config);
     ASSERT_TRUE(algorithm.ok()) << name << ": "
                                 << algorithm.status().ToString();
@@ -230,7 +229,7 @@ TEST(RegistryTest, CreateAndCreateNaryRejectTheWrongKind) {
 TEST(RegistryTest, BuiltinCapabilitiesAreParallelSafe) {
   // The session's partitioned dispatcher relies on every built-in being
   // runnable as independent instances over disjoint candidate partitions.
-  for (const std::string& name : AlgorithmRegistry::Global().Names()) {
+  for (const std::string& name : testing::Approaches(testing::Family::kUnary)) {
     auto capabilities = AlgorithmRegistry::Global().GetCapabilities(name);
     ASSERT_TRUE(capabilities.ok()) << name;
     EXPECT_TRUE(capabilities->parallel_safe) << name;
@@ -243,7 +242,7 @@ TEST(RegistryTest, CreateResolvesEveryNameAndNameMatches) {
   ValueSetExtractor extractor((*dir)->path());
   AlgorithmConfig config;
   config.extractor = &extractor;
-  for (const std::string& name : AlgorithmRegistry::Global().Names()) {
+  for (const std::string& name : testing::Approaches(testing::Family::kUnary)) {
     auto algorithm = AlgorithmRegistry::Global().Create(name, config);
     ASSERT_TRUE(algorithm.ok()) << name << ": "
                                 << algorithm.status().ToString();
@@ -262,7 +261,7 @@ TEST(RegistryTest, UnknownNameIsNotFound) {
 TEST(RegistryTest, ExtractorRequirementMatchesCapabilities) {
   // Creating without an extractor must fail exactly for the approaches
   // whose capabilities say they need one.
-  for (const std::string& name : AlgorithmRegistry::Global().Names()) {
+  for (const std::string& name : testing::Approaches(testing::Family::kUnary)) {
     auto capabilities = AlgorithmRegistry::Global().GetCapabilities(name);
     ASSERT_TRUE(capabilities.ok()) << name;
     auto without = AlgorithmRegistry::Global().Create(name, {});
@@ -277,7 +276,7 @@ TEST(RegistryTest, PartialCoverageRequiresCapability) {
   AlgorithmConfig config;
   config.extractor = &extractor;
   config.min_coverage = 0.9;
-  for (const std::string& name : AlgorithmRegistry::Global().Names()) {
+  for (const std::string& name : testing::Approaches(testing::Family::kUnary)) {
     auto capabilities = AlgorithmRegistry::Global().GetCapabilities(name);
     ASSERT_TRUE(capabilities.ok()) << name;
     auto created = AlgorithmRegistry::Global().Create(name, config);
@@ -296,7 +295,7 @@ TEST(RegistryTest, DatabaseInternalCapabilityMatchesBehavior) {
 
   auto dir = TempDir::Make("spider-registry-behavior");
   ASSERT_TRUE(dir.ok());
-  for (const std::string& name : AlgorithmRegistry::Global().Names()) {
+  for (const std::string& name : testing::Approaches(testing::Family::kUnary)) {
     auto capabilities = AlgorithmRegistry::Global().GetCapabilities(name);
     ASSERT_TRUE(capabilities.ok()) << name;
     ValueSetExtractor extractor((*dir)->path());

@@ -5,8 +5,15 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 
+#include "src/common/temp_dir.h"
+#include "src/datagen/pdb_like.h"
 #include "src/datagen/uniprot_like.h"
+#include "src/extsort/sorted_set_file.h"
+#include "src/ind/de_marchi.h"
+#include "src/storage/disk_store.h"
 #include "tests/test_util.h"
 
 namespace spider {
@@ -26,7 +33,7 @@ TEST(SessionTest, SweepOverAllApproachesFindsIdenticalInds) {
 
   std::set<Ind> reference;
   bool first = true;
-  for (const std::string& name : AlgorithmRegistry::Global().Names()) {
+  for (const std::string& name : testing::Approaches(testing::Family::kUnary)) {
     RunOptions options;
     options.approach = name;
     auto report = session.Run(options);
@@ -348,7 +355,7 @@ TEST(SessionTest, ParallelRunMatchesSerialForEveryApproach) {
   FillClusteredCatalog(&catalog, 6);
   SpiderSession session(catalog);
 
-  for (const std::string& name : AlgorithmRegistry::Global().Names()) {
+  for (const std::string& name : testing::Approaches(testing::Family::kUnary)) {
     RunOptions serial;
     serial.approach = name;
     serial.generator.max_value_pretest = true;
@@ -483,6 +490,267 @@ TEST(SessionTest, ParallelTimeBudgetReturnsPartialResult) {
   auto report = session.Run(options);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->run.finished);
+}
+
+// An IND approach that random-accesses materialized columns: the session
+// must refuse it on a disk catalog, as the approach and as an n-ary base.
+// It otherwise behaves like de-marchi, so sweeps over the registry that
+// happen to run after its registration still agree.
+const char kMemoryOnly[] = "memory-only-test";
+
+void RegisterMemoryOnlyApproach() {
+  static const bool registered = [] {
+    AlgorithmCapabilities capabilities;
+    capabilities.parallel_safe = true;
+    capabilities.summary = "de-marchi without out-of-core support";
+    return AlgorithmRegistry::Global()
+        .Register(kMemoryOnly, capabilities,
+                  [](const AlgorithmConfig&) {
+                    return Result<std::unique_ptr<IndAlgorithm>>(
+                        std::make_unique<DeMarchiAlgorithm>());
+                  })
+        .ok();
+  }();
+  ASSERT_TRUE(registered);
+}
+
+// Pins every up-front InvalidArgument message of the three run families
+// (unary, n-ary expansion, dependency discovery), including which check
+// wins when a run breaks several rules at once.
+TEST(SessionTest, InvalidRunOptionsFailWithPinnedMessages) {
+  RegisterMemoryOnlyApproach();
+  Catalog memory;
+  FillCatalog(&memory);
+  auto workspace = TempDir::Make("spider-session-validation");
+  ASSERT_TRUE(workspace.ok());
+  datagen::PdbLikeOptions pdb;
+  pdb.entries = 5;
+  pdb.category_tables = 1;
+  auto writer = DiskCatalogWriter::Create((*workspace)->path(), "pdb_like");
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(datagen::WritePdbLike(pdb, **writer).ok());
+  auto disk = (*writer)->Finish();
+  ASSERT_TRUE(disk.ok());
+  ASSERT_TRUE((*disk)->out_of_core());
+
+  const std::string out_of_core =
+      std::string("approach '") + kMemoryOnly +
+      "' random-accesses materialized columns and cannot profile an "
+      "out-of-core (disk-backend) catalog";
+  struct Case {
+    const char* label;
+    bool on_disk;
+    std::function<void(RunOptions&)> set;
+    std::string message;
+  };
+  const std::vector<Case> cases = {
+      {"kind mismatch, ind approach", false,
+       [](RunOptions& o) {
+         o.approach = "spider-merge";
+         o.kind = DependencyKind::kUcc;
+       },
+       "approach 'spider-merge' discovers inds, not uccs (approaches for "
+       "that kind: ucc-levelwise)"},
+      {"kind mismatch, ucc approach", false,
+       [](RunOptions& o) {
+         o.approach = "ucc-levelwise";
+         o.kind = DependencyKind::kFd;
+       },
+       "approach 'ucc-levelwise' discovers uccs, not fds (approaches for "
+       "that kind: fd-levelwise)"},
+      {"kind mismatch wins over the error threshold", false,
+       [](RunOptions& o) {
+         o.approach = "spider-merge";
+         o.kind = DependencyKind::kUcc;
+         o.error_threshold = 0.1;
+       },
+       "approach 'spider-merge' discovers inds, not uccs (approaches for "
+       "that kind: ucc-levelwise)"},
+      {"in-memory approach on a disk catalog", true,
+       [](RunOptions& o) { o.approach = kMemoryOnly; }, out_of_core},
+      {"out-of-core check wins over the unary error check", true,
+       [](RunOptions& o) {
+         o.approach = kMemoryOnly;
+         o.error_threshold = 0.1;
+       },
+       out_of_core},
+      {"in-memory n-ary base on a disk catalog", true,
+       [](RunOptions& o) {
+         o.approach = "nary";
+         o.nary_base = kMemoryOnly;
+       },
+       out_of_core},
+      {"n-ary threshold of 1", false,
+       [](RunOptions& o) {
+         o.approach = "nary";
+         o.error_threshold = 1.0;
+       },
+       "error_threshold must be in [0, 1)"},
+      {"negative n-ary threshold", false,
+       [](RunOptions& o) {
+         o.approach = "nary";
+         o.error_threshold = -0.1;
+       },
+       "error_threshold must be in [0, 1)"},
+      {"threshold on an exact expansion", false,
+       [](RunOptions& o) {
+         o.approach = "clique-nary";
+         o.error_threshold = 0.1;
+       },
+       "clique-nary does not support an error threshold (error > 0)"},
+      {"threshold check wins over sigma on an expansion", false,
+       [](RunOptions& o) {
+         o.approach = "zigzag";
+         o.error_threshold = 0.1;
+         o.min_coverage = 0.9;
+       },
+       "zigzag does not support an error threshold (error > 0)"},
+      {"n-ary with sigma < 1", false,
+       [](RunOptions& o) {
+         o.approach = "nary";
+         o.min_coverage = 0.9;
+       },
+       "nary does not support partial (sigma < 1) coverage"},
+      {"sigma check wins over the base check", false,
+       [](RunOptions& o) {
+         o.approach = "nary";
+         o.min_coverage = 0.9;
+         o.nary_base = "zigzag";
+       },
+       "nary does not support partial (sigma < 1) coverage"},
+      {"n-ary base naming an expansion", false,
+       [](RunOptions& o) {
+         o.approach = "zigzag";
+         o.nary_base = "nary";
+       },
+       "nary_base must name a unary approach, got n-ary expansion 'nary'"},
+      {"n-ary sigma above 1 reaches the base's check", false,
+       [](RunOptions& o) {
+         o.approach = "nary";
+         o.min_coverage = 1.5;
+       },
+       "min_coverage must be in (0, 1]"},
+      {"unary run with an error threshold", false,
+       [](RunOptions& o) {
+         o.approach = "spider-merge";
+         o.error_threshold = 0.1;
+       },
+       "approach 'spider-merge' verifies unary INDs; use min_coverage (σ) "
+       "for partial coverage instead of an error threshold"},
+      {"unary sigma on an exact verifier", false,
+       [](RunOptions& o) {
+         o.approach = "brute-force";
+         o.min_coverage = 0.5;
+       },
+       "brute-force does not support partial (sigma < 1) coverage"},
+      {"unary sigma above 1", false,
+       [](RunOptions& o) {
+         o.approach = "spider-merge";
+         o.min_coverage = 1.5;
+       },
+       "min_coverage must be in (0, 1]"},
+      {"ucc run with sigma", false,
+       [](RunOptions& o) {
+         o.approach = "ucc-levelwise";
+         o.min_coverage = 0.9;
+       },
+       "min_coverage (σ) applies to IND verification; use error_threshold "
+       "for approximate ucc discovery"},
+      {"fd run with sigma above 1", false,
+       [](RunOptions& o) {
+         o.approach = "fd-levelwise";
+         o.min_coverage = 1.5;
+       },
+       "min_coverage (σ) applies to IND verification; use error_threshold "
+       "for approximate fd discovery"},
+      {"exact fd run with a threshold", false,
+       [](RunOptions& o) {
+         o.approach = "fd-levelwise";
+         o.error_threshold = 0.1;
+       },
+       "fd-levelwise does not support an error threshold (error > 0)"},
+      {"afd threshold of 1", false,
+       [](RunOptions& o) {
+         o.approach = "afd-levelwise";
+         o.error_threshold = 1.0;
+       },
+       "error_threshold must be in [0, 1)"},
+  };
+  for (const Case& c : cases) {
+    SpiderSession session(c.on_disk ? **disk : memory);
+    RunOptions options;
+    c.set(options);
+    auto report = session.Run(options);
+    ASSERT_FALSE(report.ok()) << c.label;
+    EXPECT_TRUE(report.status().IsInvalidArgument())
+        << c.label << ": " << report.status().ToString();
+    EXPECT_EQ(report.status().message(), c.message) << c.label;
+  }
+}
+
+// Overwrites one payload byte of the set file at `path` so the record no
+// longer matches its footer's zonemap key: the first byte of the first
+// record, or the last byte of the last record.
+void CorruptSetRecord(const std::filesystem::path& path, bool last_record) {
+  std::streamoff offset =
+      static_cast<std::streamoff>(kSortedSetHeaderBytes) + 1;
+  if (last_record) {
+    // The footer offset is the 8 bytes before the closing magic; the last
+    // record's payload ends right where the footer begins.
+    std::ifstream in(path, std::ios::binary);
+    in.seekg(static_cast<std::streamoff>(std::filesystem::file_size(path) -
+                                         kSortedSetTrailerBytes));
+    uint64_t footer_offset = 0;
+    for (int i = 0; i < 8; ++i) {
+      char byte = 0;
+      in.read(&byte, 1);
+      footer_offset |= static_cast<uint64_t>(static_cast<unsigned char>(byte))
+                       << (8 * i);
+    }
+    ASSERT_TRUE(in.good()) << path;
+    offset = static_cast<std::streamoff>(footer_offset) - 1;
+  }
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  file.seekp(offset);
+  file.put('~');
+  ASSERT_TRUE(file.good()) << path;
+}
+
+// A corrupt set file stops its reader with a sticky IOError, and its
+// stream ends as if exhausted. Every unary approach that reads set files
+// must fail the run on it: taken for a clean end, a corrupt dependent set
+// would look empty (first record) or fully matched (last record) and
+// yield INDs that do not hold.
+TEST(SessionTest, CorruptDependentSetFailsTheRun) {
+  const Ind fk{{"child", "fk"}, {"parent", "pk"}};
+  for (const bool last_record : {false, true}) {
+    for (const std::string& name :
+         testing::Approaches(testing::Family::kUnary)) {
+      auto capabilities = AlgorithmRegistry::Global().GetCapabilities(name);
+      ASSERT_TRUE(capabilities.ok()) << name;
+      if (!capabilities->needs_extractor) continue;
+      SCOPED_TRACE(name + (last_record ? ", last record" : ", first record"));
+      Catalog catalog;
+      FillCatalog(&catalog);
+      SpiderSession session(catalog);
+      RunOptions options;
+      options.approach = name;
+      auto clean = session.Run(options);
+      ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+      ASSERT_TRUE(testing::ToSet(clean->run.satisfied).contains(fk));
+
+      // The session's set cache hands the same file to the next run.
+      auto extractor = session.extractor();
+      ASSERT_TRUE(extractor.ok());
+      auto dependent = (*extractor)->Lookup(fk.dependent);
+      ASSERT_TRUE(dependent.ok()) << dependent.status().ToString();
+      CorruptSetRecord(dependent->path, last_record);
+
+      auto corrupt = session.Run(options);
+      ASSERT_FALSE(corrupt.ok());
+      EXPECT_TRUE(corrupt.status().IsIOError()) << corrupt.status().ToString();
+    }
+  }
 }
 
 }  // namespace

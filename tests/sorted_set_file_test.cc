@@ -5,6 +5,7 @@
 
 #include "src/common/temp_dir.h"
 #include "src/common/thread_pool.h"
+#include "src/common/value_codec.h"
 #include "src/extsort/sorted_set_file.h"
 
 namespace spider {
@@ -167,31 +168,29 @@ TEST_F(SortedSetFileTest, TinyBufferStillDecodesEveryRecord) {
 
 // --- Block-indexed format ------------------------------------------------
 
-// The default write path emits the block-indexed format and the reader
-// sniffs it from the magic; a legacy flat file (no header, no footer) is
-// the absence case and must stream exactly as before.
-TEST_F(SortedSetFileTest, FormatSniffingBlockedAndLegacy) {
+// Every written file opens with the magic; a file without it — such as
+// the flat record stream of the pre-block format, or an empty file — is not
+// a set file and fails Open with IOError instead of streaming garbage.
+TEST_F(SortedSetFileTest, FileWithoutMagicFailsOpen) {
   const std::vector<std::string> values = {"apple", "banana", "cherry"};
-
   auto blocked = SortedSetReader::Open(WriteSet(values, "blocked.set"));
   ASSERT_TRUE(blocked.ok());
-  EXPECT_TRUE((*blocked)->block_indexed());
   EXPECT_EQ((*blocked)->block_count(), 1);
 
-  SortedSetWriterOptions legacy_options;
-  legacy_options.legacy_flat = true;
-  auto legacy = SortedSetReader::Open(
-      WriteSet(values, "legacy.set", legacy_options));
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_FALSE((*legacy)->block_indexed());
-  EXPECT_EQ((*legacy)->block_count(), 0);
-
-  for (auto* reader : {&*blocked, &*legacy}) {
-    std::vector<std::string> got;
-    while ((*reader)->HasNext()) got.push_back((*reader)->Next());
-    EXPECT_EQ(got, values);
-    EXPECT_TRUE((*reader)->status().ok());
+  const std::filesystem::path flat = dir_->FilePath("flat.set");
+  {
+    std::ofstream out(flat, std::ios::binary);
+    for (const std::string& value : values) {
+      ASSERT_TRUE(WriteValueRecord(out, value).ok());
+    }
   }
+  auto flat_reader = SortedSetReader::Open(flat);
+  EXPECT_TRUE(flat_reader.status().IsIOError())
+      << flat_reader.status().ToString();
+
+  const std::filesystem::path empty = dir_->FilePath("empty.set");
+  { std::ofstream out(empty, std::ios::binary); }
+  EXPECT_TRUE(SortedSetReader::Open(empty).status().IsIOError());
 }
 
 TEST_F(SortedSetFileTest, MultiBlockRoundTrip) {
@@ -402,11 +401,13 @@ TEST_F(SortedSetFileTest, TruncatedFooterFailsCleanly) {
   EXPECT_TRUE(reader.status().IsIOError());
 }
 
-using SortedSetFileDeathTest = SortedSetFileTest;
-
-TEST_F(SortedSetFileDeathTest, CorruptFirstRecordTripsZonemapCheck) {
+// A record that disagrees with its footer zonemap would make
+// SkipToAtLeast skip values it must not. The reader stops with a sticky
+// IOError instead of aborting: a corrupt workspace must not take down a
+// long-lived process.
+TEST_F(SortedSetFileTest, CorruptFirstRecordFailsZonemapCheck) {
   // Flip a payload byte of the first record: the decoded key no longer
-  // matches the footer's first_key and the block-entry check aborts.
+  // matches the footer's first_key.
   auto path = WriteSet({"aaaa", "bbbb", "cccc"}, "zfirst.set");
   {
     std::ofstream out(path, std::ios::binary | std::ios::in);
@@ -416,12 +417,20 @@ TEST_F(SortedSetFileDeathTest, CorruptFirstRecordTripsZonemapCheck) {
   }
   auto reader = SortedSetReader::Open(path);
   ASSERT_TRUE(reader.ok());
-  EXPECT_DEATH((*reader)->HasNext(), "zonemap out of sync");
+  EXPECT_FALSE((*reader)->HasNext());
+  EXPECT_TRUE((*reader)->status().IsIOError());
+  EXPECT_NE((*reader)->status().message().find("zonemap out of sync"),
+            std::string::npos)
+      << (*reader)->status().ToString();
+  // Sticky: the reader stays stopped.
+  EXPECT_FALSE((*reader)->HasNext());
+  (*reader)->SkipToAtLeast("cccc");
+  EXPECT_FALSE((*reader)->HasNext());
 }
 
-TEST_F(SortedSetFileDeathTest, CorruptLastRecordTripsZonemapCheck) {
+TEST_F(SortedSetFileTest, CorruptLastRecordFailsZonemapCheck) {
   // Flip the last payload byte of the final record: the block-exit check
-  // against the footer's last_key aborts.
+  // against the footer's last_key fails.
   auto path = WriteSet({"aaaa", "bbbb", "cccc"}, "zlast.set");
   const auto size = std::filesystem::file_size(path);
   // Footer offset is the 8 bytes before the closing magic; the last record
@@ -446,12 +455,17 @@ TEST_F(SortedSetFileDeathTest, CorruptLastRecordTripsZonemapCheck) {
   }
   auto reader = SortedSetReader::Open(path);
   ASSERT_TRUE(reader.ok());
-  EXPECT_DEATH(
-      {
-        while ((*reader)->HasNext()) (*reader)->Skip();
-      },
-      "zonemap out of sync");
+  std::vector<std::string> got;
+  while ((*reader)->HasNext()) got.push_back((*reader)->Next());
+  // The records before the corrupt one still stream.
+  EXPECT_EQ(got, (std::vector<std::string>{"aaaa", "bbbb"}));
+  EXPECT_TRUE((*reader)->status().IsIOError());
+  EXPECT_NE((*reader)->status().message().find("zonemap out of sync"),
+            std::string::npos)
+      << (*reader)->status().ToString();
 }
+
+using SortedSetFileDeathTest = SortedSetFileTest;
 
 TEST_F(SortedSetFileDeathTest, NextPastEofAborts) {
   // Regression: Next() at EOF used to dereference an empty std::optional

@@ -71,10 +71,10 @@ TEST(SqlAlgorithmsTest, TimeBudgetAbortsRun) {
   std::vector<IndCandidate> candidates;
   for (int i = 0; i < 200; ++i) candidates.push_back({{"d", "c"}, {"r", "c"}});
 
-  SqlAlgorithmOptions options;
-  options.time_budget_seconds = 1e-9;
-  SqlNotInAlgorithm algorithm(options);
-  auto result = algorithm.Run(catalog, candidates);
+  RunContext context;
+  context.time_budget_seconds = 1e-9;
+  SqlNotInAlgorithm algorithm;
+  auto result = algorithm.Run(catalog, candidates, context);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->finished);
   EXPECT_LT(result->counters.candidates_tested, 200);

@@ -10,6 +10,7 @@
 
 #include "src/storage/catalog.h"
 #include "src/ind/candidate.h"
+#include "src/ind/registry.h"
 
 namespace spider::testing {
 
@@ -65,6 +66,13 @@ inline std::set<Ind> NaiveSatisfiedSet(const Catalog& catalog,
 /// Set-ifies a result vector for order-insensitive comparison.
 inline std::set<Ind> ToSet(const std::vector<Ind>& inds) {
   return std::set<Ind>(inds.begin(), inds.end());
+}
+
+using Family = AlgorithmRegistry::Family;
+
+/// Registered approaches of one family, in registration order.
+inline std::vector<std::string> Approaches(Family family) {
+  return AlgorithmRegistry::Global().Names(family);
 }
 
 }  // namespace spider::testing
